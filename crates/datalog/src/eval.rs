@@ -554,17 +554,14 @@ impl Program {
             let stratum_stages_entry = stages;
             let stratum_fuel_entry = gauge.spent();
             let mut stratum_derived: u64 = 0;
-            // Round 0 of stratum `s`: every rule of the stratum against the
-            // IDBs accumulated so far (sealed lower strata; this stratum's
-            // own predicates are still empty, so everything derived is new).
+            // Round 0 of stratum `s`: the stratum's rules against the IDBs
+            // accumulated so far (sealed lower strata; this stratum's own
+            // predicates are still empty, so everything derived is new).
             // A resumed run re-enters its interrupted stratum directly at
             // the delta loop, pending delta in hand.
             if !std::mem::take(&mut mid_stratum) {
                 delta = self.empty_idbs();
-                let items: Vec<WorkItem> = (0..plan.rules.len())
-                    .filter(|&ri| rule_strata[ri] == s)
-                    .flat_map(|ri| (0..chunks).map(move |c| (ri, None, (c, chunks))))
-                    .collect();
+                let items = round0_items(&plan, &rule_strata, s, chunks);
                 let ctx = JoinCtx {
                     a,
                     idb: &idb,
@@ -716,6 +713,24 @@ impl Program {
     }
 }
 
+/// Round 0's work items for stratum `s`: every stratum-`s` rule with a
+/// seed order. Rules with a positive atom on a stratum-`s` IDB have none
+/// (see [`RulePlan::seed_order`]): that relation is still empty, so they
+/// would derive nothing; the delta rounds seed them once it has tuples.
+fn round0_items(
+    plan: &ProgramPlan,
+    rule_strata: &[usize],
+    s: usize,
+    chunks: usize,
+) -> Vec<WorkItem> {
+    plan.rules
+        .iter()
+        .enumerate()
+        .filter(|&(ri, rp)| rule_strata[ri] == s && rp.seed_order.is_some())
+        .flat_map(|(ri, _)| (0..chunks).map(move |c| (ri, None, (c, chunks))))
+        .collect()
+}
+
 /// The diagnostic recorded when a pool worker panicked during `round` and
 /// the round was recomputed on the calling thread.
 fn recovery_note(round: usize) -> String {
@@ -822,7 +837,10 @@ fn run_item(
     out: &mut TupleStore,
 ) {
     let steps = match delta_atom {
-        None => &rp.seed_order,
+        None => rp
+            .seed_order
+            .as_ref()
+            .expect("round 0 runs only rules with a seed order"),
         Some(d) => rp.delta_orders[d]
             .as_ref()
             .expect("delta atom is an IDB atom"),
@@ -960,6 +978,34 @@ mod tests {
         assert!(!r.idb("T").unwrap().contains(&[Elem(4), Elem(0)]));
         assert!(r.idb("U").is_none());
         assert!(r.converged);
+    }
+
+    #[test]
+    fn round0_skips_rules_reading_their_own_stratum() {
+        // Stratum 0: T's base rule seeds round 0, its recursive rule reads
+        // the empty T. Stratum 1: N reads T (lower) and negates it, Goal
+        // reads N (same stratum).
+        let p = Program::parse(
+            "T(x,y) :- E(x,y).\nT(x,z) :- T(x,y), E(y,z).\n\
+             N(x,y) :- T(x,z), E(z,y), not T(x,y).\nGoal(x,y) :- N(x,y).\n\
+             Goal(x,y) :- Goal(y,x).",
+            &Vocabulary::digraph(),
+        )
+        .unwrap();
+        let plan = ProgramPlan::new(&p);
+        let rule_strata: Vec<usize> = (0..plan.rules.len()).map(|ri| p.rule_stratum(ri)).collect();
+        let rules = |s: usize| -> Vec<usize> {
+            round0_items(&plan, &rule_strata, s, 2)
+                .into_iter()
+                .map(|(ri, delta, _)| {
+                    assert_eq!(delta, None);
+                    ri
+                })
+                .collect()
+        };
+        assert_eq!(rules(0), vec![0, 0]);
+        assert_eq!(p.rule_stratum(2), 1);
+        assert_eq!(rules(1), vec![2, 2]);
     }
 
     #[test]

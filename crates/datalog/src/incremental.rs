@@ -20,10 +20,9 @@
 //! Strata come from a condensation of the program's IDB dependency graph
 //! (Tarjan, topologically ordered). Delta joins reuse the join-order
 //! machinery of [`crate::plan`] — each rule gets one seeded order per body
-//! occurrence plus a fully-prebound rederivation order — and probe permuted
-//! sorted copies of the committed stores ([`TupleStore::prefix_range`])
-//! instead of per-evaluation hash maps, because the committed stores
-//! persist across update batches.
+//! occurrence plus a fully-prebound rederivation order — and probe
+//! persistent [`PermutedStore`] copies of the committed stores, which each
+//! batch updates by sorted-run merge and difference instead of rebuilding.
 //!
 //! Maintenance is budgeted and resumable under the same law as
 //! [`Program::resume_budgeted`]: the gauge is charged at SCC boundaries, an
@@ -38,8 +37,8 @@ use std::sync::Mutex;
 
 use hp_guard::{Budget, Budgeted, Gauge, GaugeState};
 use hp_structures::{
-    CountedStore, Elem, Relation, RowRef, Structure, StructureError, SymbolId, TupleStore,
-    Vocabulary,
+    CountedStore, Elem, PermutedStore, Relation, RowRef, Structure, StructureError, SymbolId,
+    TupleStore, Vocabulary,
 };
 
 use crate::ast::{PredRef, Program};
@@ -173,7 +172,7 @@ impl MaintPlan {
             // Reuse the dense slotting; the seed/delta orders interned into
             // `throwaway` are not needed for maintenance.
             let mut throwaway = Vec::new();
-            let rp = RulePlan::new(rule, &mut throwaway);
+            let rp = RulePlan::new(rule, p.strata(), &mut throwaway);
             let mut head_repeats = Vec::new();
             for (i, &s) in rp.head_args.iter().enumerate() {
                 if let Some(j) = rp.head_args[..i].iter().position(|&t| t == s) {
@@ -304,78 +303,6 @@ fn condense(n: usize, adj: &[Vec<usize>]) -> (Vec<SccInfo>, Vec<usize>) {
 }
 
 // ---------------------------------------------------------------------------
-// Secondary indexes: permuted sorted copies of the committed stores
-// ---------------------------------------------------------------------------
-
-/// A persistent index for one [`IndexSpec`]: a sorted [`TupleStore`] whose
-/// rows are the committed relation's rows **permuted** so the key columns
-/// come first; a probe is then [`TupleStore::prefix_range`]. Unlike the
-/// per-evaluation hash pool of [`crate::index`], these survive across
-/// update batches and are maintained by sorted-run batch merge/difference.
-#[derive(Clone, Debug)]
-struct SecondaryIndex {
-    arity: usize,
-    /// `perm[k]` = original column stored at permuted position `k` (key
-    /// columns first, remaining columns ascending).
-    perm: Vec<usize>,
-    /// `pos_of[i]` = permuted position of original column `i`.
-    pos_of: Vec<usize>,
-    store: TupleStore,
-}
-
-impl SecondaryIndex {
-    fn new(spec: &IndexSpec, arity: usize) -> SecondaryIndex {
-        let mut perm = spec.key_positions.clone();
-        for i in 0..arity {
-            if !perm.contains(&i) {
-                perm.push(i);
-            }
-        }
-        let mut pos_of = vec![0usize; arity];
-        for (k, &i) in perm.iter().enumerate() {
-            pos_of[i] = k;
-        }
-        SecondaryIndex {
-            arity,
-            perm,
-            pos_of,
-            store: TupleStore::new(arity),
-        }
-    }
-
-    fn permuted(&self, rows: &TupleStore) -> TupleStore {
-        let mut out = TupleStore::with_capacity(self.arity, rows.len());
-        for t in rows.iter() {
-            out.push_with(|buf| buf.extend(self.perm.iter().map(|&i| t.get(i))));
-        }
-        out.seal();
-        out
-    }
-
-    /// Recover the original column order of a permuted candidate row.
-    fn unpermute_into(&self, row: RowRef<'_>, out: &mut Vec<Elem>) {
-        out.clear();
-        out.extend((0..self.arity).map(|i| row.get(self.pos_of[i])));
-    }
-
-    fn insert_batch(&mut self, rows: &TupleStore) {
-        if rows.is_empty() {
-            return;
-        }
-        let p = self.permuted(rows);
-        self.store.merge(&p);
-    }
-
-    fn remove_batch(&mut self, rows: &TupleStore) {
-        if rows.is_empty() {
-            return;
-        }
-        let p = self.permuted(rows);
-        self.store = self.store.difference(&p);
-    }
-}
-
-// ---------------------------------------------------------------------------
 // The materialized database
 // ---------------------------------------------------------------------------
 
@@ -403,7 +330,9 @@ pub struct MaterializedDb {
     /// Monotone upper bound over every assigned depth; fresh and revived
     /// tuples get depths above it, keeping the invariant without renumbering.
     depth_clock: u64,
-    indexes: Vec<SecondaryIndex>,
+    /// One persistent [`PermutedStore`] per [`MaintPlan`] index spec,
+    /// kept equal to the committed relation by batch merge/difference.
+    indexes: Vec<PermutedStore>,
     /// True while a budget-exhausted maintenance run awaits
     /// [`Program::resume_incremental`]; fresh updates are refused until
     /// then.
@@ -436,19 +365,15 @@ impl MaterializedDb {
         let full = program.evaluate_with(&structure, cfg);
         let plan = MaintPlan::new(program);
         let idb = full.relations;
-        let indexes: Vec<SecondaryIndex> = plan
+        let indexes: Vec<PermutedStore> = plan
             .specs
             .iter()
             .map(|spec| {
-                let (arity, committed) = match spec.pred {
-                    PredRef::Edb(sym) => {
-                        (program.edb().arity(sym), structure.relation(sym).store())
-                    }
-                    PredRef::Idb(i) => (program.idbs()[i].1, idb[i].store()),
+                let committed = match spec.pred {
+                    PredRef::Edb(sym) => structure.relation(sym).store(),
+                    PredRef::Idb(i) => idb[i].store(),
                 };
-                let mut ix = SecondaryIndex::new(spec, arity);
-                ix.insert_batch(committed);
-                ix
+                PermutedStore::build(committed, &spec.key_positions)
             })
             .collect();
         let mut counts: Vec<Option<CountedStore>> = (0..idb.len()).map(|_| None).collect();
@@ -826,7 +751,7 @@ struct Ctx<'a> {
     plan: &'a MaintPlan,
     structure: &'a Structure,
     idb: &'a [Relation],
-    indexes: &'a [SecondaryIndex],
+    indexes: &'a [PermutedStore],
     deltas: &'a Deltas,
     overlay: Option<Overlay<'a>>,
     gate: Option<DepthGate<'a>>,
@@ -919,13 +844,13 @@ fn mjoin(
         let sidx = &ctx.indexes[si];
         let mut key: Vec<Elem> = Vec::with_capacity(step.bound.len());
         key.extend(step.bound.iter().map(|&(_, s)| asg[s]));
-        let range = sidx.store.prefix_range(&key);
-        let map = Some(sidx.pos_of.as_slice());
+        let range = sidx.probe(&key);
+        let map = Some(sidx.pos_of());
         match view {
             View::New => {
                 for r in range {
                     let cand = Cand {
-                        row: sidx.store.row(r),
+                        row: sidx.store().row(r),
                         map,
                     };
                     if !accept(
@@ -938,7 +863,7 @@ fn mjoin(
             View::Old => {
                 let plus = ctx.deltas.plus(atom.pred);
                 for r in range {
-                    let row = sidx.store.row(r);
+                    let row = sidx.store().row(r);
                     if !plus.is_empty() {
                         sidx.unpermute_into(row, scratch);
                         if plus.contains(scratch.as_slice()) {
@@ -965,7 +890,7 @@ fn mjoin(
                     unreachable!("Cur views are only assigned to SCC members")
                 };
                 for r in range {
-                    let row = sidx.store.row(r);
+                    let row = sidx.store().row(r);
                     if !ov.removed[p].is_empty() || ctx.gate.is_some() {
                         sidx.unpermute_into(row, scratch);
                         if !ov.removed[p].is_empty()
@@ -1000,7 +925,7 @@ fn mjoin(
             View::Stable => {
                 let plus = ctx.deltas.plus(atom.pred);
                 for r in range {
-                    let row = sidx.store.row(r);
+                    let row = sidx.store().row(r);
                     if !plus.is_empty() {
                         sidx.unpermute_into(row, scratch);
                         if plus.contains(scratch.as_slice()) {
@@ -1274,8 +1199,8 @@ fn commit_edb(
         db.structure.remove_tuples(sym, &eff_minus);
         for (si, spec) in db.plan.specs.iter().enumerate() {
             if spec.pred == PredRef::Edb(sym) {
-                db.indexes[si].remove_batch(&eff_minus);
-                db.indexes[si].insert_batch(&eff_plus);
+                db.indexes[si].remove_rows(&eff_minus);
+                db.indexes[si].insert_rows(&eff_plus);
             }
         }
         deltas.edb_plus[i] = eff_plus;
@@ -1355,8 +1280,8 @@ fn counting_scc(
     db.idb[p].merge_store(&delta.inserted);
     for (si, spec) in db.plan.specs.iter().enumerate() {
         if spec.pred == PredRef::Idb(p) {
-            db.indexes[si].remove_batch(&delta.removed);
-            db.indexes[si].insert_batch(&delta.inserted);
+            db.indexes[si].remove_rows(&delta.removed);
+            db.indexes[si].insert_rows(&delta.inserted);
         }
     }
     deltas.idb_minus[p] = delta.removed;
@@ -1696,8 +1621,8 @@ fn dred_scc(
         db.idb[p].merge_store(&final_plus);
         for (si, spec) in db.plan.specs.iter().enumerate() {
             if spec.pred == PredRef::Idb(p) {
-                db.indexes[si].remove_batch(&final_minus);
-                db.indexes[si].insert_batch(&final_plus);
+                db.indexes[si].remove_rows(&final_minus);
+                db.indexes[si].insert_rows(&final_plus);
             }
         }
         deltas.idb_minus[p] = final_minus;

@@ -2,21 +2,25 @@
 //!
 //! The [`ProgramPlan`](crate::plan::ProgramPlan) knows, statically, every
 //! `(predicate, bound positions)` combination the join orders probe. An
-//! [`IndexPool`] materializes one [`TupleIndex`] per such spec. With the
-//! column-plane [`TupleStore`](hp_structures::TupleStore) there are three
-//! shapes, picked per spec:
+//! [`IndexPool`] holds one [`TupleIndex`] per such spec, for one
+//! evaluation. With the column-plane [`TupleStore`](hp_structures::TupleStore)
+//! there are three shapes, picked per spec:
 //!
 //! - **Natural** (EDB, key positions are the prefix `0..k`): no index is
 //!   built at all. The relation's sealed store is already sorted
 //!   lexicographically, so a probe is
 //!   [`TupleStore::prefix_range`](hp_structures::TupleStore::prefix_range) —
-//!   a chunked galloping search over the leading column planes. Setup cost
-//!   is zero, which matters because the pool is rebuilt per evaluation.
-//! - **Permuted** (EDB, any other key positions): a sorted copy of the
-//!   relation with the key columns permuted to the front (remaining
-//!   columns keep their relative order, so rows sharing a key enumerate in
-//!   the same order the row-id hash index used to yield). One sort at
-//!   setup replaces per-row hash inserts; probes are again `prefix_range`.
+//!   a chunked galloping search over the leading column planes.
+//! - **Permuted** (EDB, any other key positions): a
+//!   [`PermutedStore`] — the relation sorted with the key columns first
+//!   (remaining columns keep their relative order, so rows sharing a key
+//!   enumerate in the relation's own order); probes are again
+//!   `prefix_range`. The pool does not sort it: it takes a shared copy from
+//!   the input structure's memo
+//!   ([`Structure::permuted_index`](hp_structures::Structure::permuted_index)),
+//!   so every evaluation over an unchanged structure after the first one
+//!   pays no index build. Mutating the structure clears the memo; a
+//!   snapshot whose memo was released hands each evaluation a private copy.
 //! - **Idb**: a hash map from key to **row ids** (`u32`) into a flat
 //!   append-only arena the index owns — stable across rounds because
 //!   absorbed rows are never reordered, unlike the accumulated relations
@@ -32,8 +36,11 @@
 
 use std::collections::HashMap;
 use std::ops::Range;
+use std::sync::Arc;
 
-use hp_structures::{Elem, Relation, Row, RowRef, Structure, StructureError, TupleStore};
+use hp_structures::{
+    Elem, PermutedStore, Relation, Row, RowRef, Structure, StructureError, TupleStore,
+};
 
 use crate::ast::PredRef;
 use crate::eval::IdbRelation;
@@ -45,13 +52,9 @@ enum Arena<'a> {
     /// EDB indexed on a positional prefix: probe the relation's own sealed
     /// store, nothing materialized.
     Natural(&'a Relation),
-    /// EDB indexed on non-prefix positions: a sorted permuted copy
-    /// (key columns moved to the front, remaining columns ascending).
-    Permuted {
-        /// `pos_of[i]` = permuted position of original column `i`.
-        pos_of: Vec<usize>,
-        store: TupleStore,
-    },
+    /// EDB indexed on non-prefix positions: the structure's memoized
+    /// permuted copy.
+    Permuted(Arc<PermutedStore>),
     /// IDB: rows are appended to `data` (one `arity`-stride row per
     /// absorbed tuple, in absorption order); `map` sends each key to the
     /// row ids carrying it.
@@ -177,10 +180,10 @@ impl<'a> TupleIndex<'a> {
                 store: rel.store(),
                 range: rel.store().prefix_range(key),
             },
-            Arena::Permuted { pos_of, store, .. } => ProbeIter::Permuted {
-                store,
-                pos_of,
-                range: store.prefix_range(key),
+            Arena::Permuted(p) => ProbeIter::Permuted {
+                store: p.store(),
+                pos_of: p.pos_of(),
+                range: p.probe(key),
             },
             Arena::Idb { arity, data, map } => ProbeIter::Ids {
                 arity: *arity,
@@ -206,8 +209,8 @@ pub(crate) struct IndexPool<'a> {
 
 impl<'a> IndexPool<'a> {
     /// Build the pool: prefix-keyed EDB specs borrow the relation as-is,
-    /// non-prefix EDB specs sort one permuted copy, IDB indexes start
-    /// empty (mirroring the empty stage Φ⁰).
+    /// non-prefix EDB specs share the structure's memoized permuted copy,
+    /// IDB indexes start empty (mirroring the empty stage Φ⁰).
     pub fn new(plan: &ProgramPlan, a: &'a Structure) -> IndexPool<'a> {
         let indexes: Vec<TupleIndex<'a>> = plan
             .index_specs
@@ -219,23 +222,7 @@ impl<'a> IndexPool<'a> {
                         if is_prefix(&s.key_positions) {
                             Arena::Natural(rel)
                         } else {
-                            let arity = rel.arity();
-                            let mut perm = s.key_positions.clone();
-                            for i in 0..arity {
-                                if !perm.contains(&i) {
-                                    perm.push(i);
-                                }
-                            }
-                            let mut pos_of = vec![0usize; arity];
-                            for (k, &i) in perm.iter().enumerate() {
-                                pos_of[i] = k;
-                            }
-                            let mut store = TupleStore::with_capacity(arity, rel.len());
-                            for t in rel.iter() {
-                                store.push_with(|buf| buf.extend(perm.iter().map(|&i| t.get(i))));
-                            }
-                            store.seal();
-                            Arena::Permuted { pos_of, store }
+                            Arena::Permuted(a.permuted_index(sym, &s.key_positions))
                         }
                     }
                     PredRef::Idb(i) => Arena::Idb {

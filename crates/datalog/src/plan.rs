@@ -9,13 +9,15 @@
 //! by every round.
 //!
 //! For each rule we precompute one join order per "seeding" variant: the
-//! naive variant (no atom restricted to a delta, used by round 0 and the
-//! naive operator) and one variant per IDB body atom (the semi-naive work
-//! items, where that occurrence reads the delta relation and is scanned
-//! first). Orders are greedy: after the seed, repeatedly pick the atom with
-//! the most argument positions over already-bound variables (ties prefer
-//! EDB atoms, then source order), so each step can be answered by a hash
-//! index keyed on exactly those bound positions.
+//! round-0 variant (no atom restricted to a delta; planned only for rules
+//! whose positive body atoms all read EDBs or lower strata, since any
+//! other rule derives nothing in round 0) and one variant per IDB body
+//! atom (the semi-naive work items, where that occurrence reads the delta
+//! relation and is scanned first). Orders are greedy: after the seed,
+//! repeatedly pick the atom with the most argument positions over
+//! already-bound variables (ties prefer EDB atoms, then source order), so
+//! each step can be answered by a hash index keyed on exactly those bound
+//! positions.
 
 use std::cmp::Reverse;
 
@@ -77,8 +79,10 @@ pub(crate) struct RulePlan {
     pub var_count: usize,
     /// Body atoms with dense argument slots.
     pub atoms: Vec<AtomPlan>,
-    /// Join order when no atom is restricted to a delta (round 0, naive Φ).
-    pub seed_order: Vec<JoinStep>,
+    /// Join order when no atom is restricted to a delta (round 0), or
+    /// `None` when the rule has a positive body atom on an IDB of its own
+    /// stratum and so derives nothing in round 0.
+    pub seed_order: Option<Vec<JoinStep>>,
     /// Join order seeded by each body atom as the delta atom, aligned with
     /// `atoms`; `None` for EDB atoms.
     pub delta_orders: Vec<Option<Vec<JoinStep>>>,
@@ -106,7 +110,7 @@ impl ProgramPlan {
         let rules = p
             .rules()
             .iter()
-            .map(|r| RulePlan::new(r, &mut index_specs))
+            .map(|r| RulePlan::new(r, p.strata(), &mut index_specs))
             .collect();
         ProgramPlan {
             rules,
@@ -117,11 +121,11 @@ impl ProgramPlan {
 }
 
 impl RulePlan {
-    /// Build the plan for one rule, interning index specs into `specs`.
-    /// Also used by the incremental-maintenance planner, which reuses the
-    /// dense slotting and then derives its own orders with
-    /// [`plan_steps`]/[`plan_steps_prebound`].
-    pub(crate) fn new(rule: &Rule, specs: &mut Vec<IndexSpec>) -> RulePlan {
+    /// Build the plan for one rule, interning index specs into `specs`;
+    /// `strata` is the program's IDB stratum map. Also used by the
+    /// incremental-maintenance planner, which reuses the dense slotting and
+    /// then derives its own orders with [`plan_steps`]/[`plan_steps_prebound`].
+    pub(crate) fn new(rule: &Rule, strata: &[usize], specs: &mut Vec<IndexSpec>) -> RulePlan {
         let vars: Vec<u32> = rule.variables().into_iter().collect();
         let slot = |v: u32| vars.binary_search(&v).expect("rule variable");
         let atoms: Vec<AtomPlan> = rule
@@ -145,7 +149,13 @@ impl RulePlan {
             .filter(|(_, a)| matches!(a.pred, PredRef::Idb(_)) && !a.negated)
             .map(|(i, _)| i)
             .collect();
-        let seed_order = plan_steps(&atoms, vars.len(), None, specs);
+        // A positive atom on an IDB of the rule's own stratum is still
+        // empty in round 0, so the rule cannot fire there: it gets no seed
+        // order, and the indexes only that order would probe are not built.
+        let fires_in_round0 = !idb_atoms
+            .iter()
+            .any(|&i| matches!(atoms[i].pred, PredRef::Idb(p) if strata[p] == strata[head]));
+        let seed_order = fires_in_round0.then(|| plan_steps(&atoms, vars.len(), None, specs));
         let delta_orders = (0..atoms.len())
             .map(|i| {
                 idb_atoms
@@ -328,11 +338,28 @@ mod tests {
     fn repeated_variable_within_atom_is_a_repeat_check() {
         let p = Program::parse("L(x) :- E(x,x).", &Vocabulary::digraph()).unwrap();
         let plan = ProgramPlan::new(&p);
-        let step = &plan.rules[0].seed_order[0];
+        let step = &plan.rules[0].seed_order.as_ref().unwrap()[0];
         assert_eq!(step.binds, vec![(0, 0)]);
         assert_eq!(step.repeats, vec![(1, 0)]);
         assert!(step.bound.is_empty());
         assert!(step.index.is_none());
+    }
+
+    #[test]
+    fn rules_that_cannot_fire_in_round0_plan_no_seed_probes() {
+        // The recursive rule's seed order would scan E and probe R on
+        // position 0; the delta order probes E on its prefix only.
+        let p = Program::parse(
+            "R(x) :- S(x).\nR(y) :- R(x), E(x,y).",
+            &Vocabulary::from_pairs([("E", 2), ("S", 1)]),
+        )
+        .unwrap();
+        let plan = ProgramPlan::new(&p);
+        assert!(plan.rules[0].seed_order.is_some());
+        assert!(plan.rules[1].seed_order.is_none());
+        assert_eq!(plan.index_specs.len(), 1);
+        assert!(matches!(plan.index_specs[0].pred, PredRef::Edb(_)));
+        assert_eq!(plan.index_specs[0].key_positions, vec![0]);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 use proptest::prelude::*;
 
 use hp_datalog::{DatalogAtom, EvalConfig, PredRef, Program, Rule};
-use hp_structures::{Structure, Vocabulary};
+use hp_structures::{Elem, Structure, Vocabulary};
 
 /// IDB signature used by the random programs: `A/1`, `B/2`, `G/0`.
 fn idb_signature() -> Vec<(String, usize)> {
@@ -161,6 +161,98 @@ proptest! {
     fn gallery_programs_agree(a in digraph_strategy(7, 18)) {
         for p in gallery() {
             assert_all_agree(&p, &a)?;
+        }
+    }
+}
+
+/// One step of a mutation interleaving on a single structure.
+#[derive(Clone, Debug)]
+enum Step {
+    Add(u32, u32),
+    Remove(u32, u32),
+    Extend(Vec<(u32, u32)>),
+    /// Continue on a clone; the original (memo filled) is checked too.
+    Clone,
+}
+
+fn step_strategy(n: u32) -> impl Strategy<Value = Step> {
+    (
+        0usize..4,
+        (0..n, 0..n),
+        prop::collection::vec((0..n, 0..n), 0..5),
+    )
+        .prop_map(|(kind, (u, v), batch)| match kind {
+            0 => Step::Add(u, v),
+            1 => Step::Remove(u, v),
+            2 => Step::Extend(batch),
+            _ => Step::Clone,
+        })
+}
+
+/// Programs whose join orders probe `E` on its second column, i.e.
+/// through the structure's memoized permuted index.
+fn non_prefix_probe_programs() -> Vec<Program> {
+    [
+        "B(x,z) :- E(x,y), E(z,y).",
+        "A(x) :- E(x,x).\nA(y) :- A(x), E(y,x).",
+        "B(x,y) :- E(x,y).\nB(x,z) :- B(x,y), E(y,z).\nA(z) :- B(x,z), E(z,x).",
+    ]
+    .iter()
+    .map(|src| Program::parse(src, &Vocabulary::digraph()).unwrap())
+    .collect()
+}
+
+/// Evaluate every program twice (a memo miss, then a hit) and compare both
+/// against the scan-based reference.
+fn assert_memo_agrees(programs: &[Program], a: &Structure) -> Result<(), TestCaseError> {
+    for p in programs {
+        let reference = p.evaluate_reference(a);
+        for _ in 0..2 {
+            let r = p.evaluate(a);
+            prop_assert_eq!(&r.relations, &reference.relations);
+            prop_assert_eq!(r.stages, reference.stages);
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Random interleavings of `add_tuple` / `remove_tuple` /
+    /// `extend_tuples` / `clone` on one structure, each followed by
+    /// evaluations that probe a memoized permuted index: no step may ever
+    /// observe an index of an older state.
+    #[test]
+    fn memoized_indexes_follow_every_mutation(
+        steps in prop::collection::vec(step_strategy(6), 1..24),
+    ) {
+        let programs = non_prefix_probe_programs();
+        let e = Vocabulary::digraph().lookup("E").unwrap();
+        let mut s = Structure::new(Vocabulary::digraph(), 6);
+        let mut original: Option<Structure> = None;
+        for step in steps {
+            match step {
+                Step::Add(u, v) => {
+                    s.add_tuple_ids(0, &[u, v]).unwrap();
+                }
+                Step::Remove(u, v) => {
+                    s.remove_tuple(e, &[Elem(u), Elem(v)]);
+                }
+                Step::Extend(batch) => {
+                    let rows: Vec<[Elem; 2]> =
+                        batch.iter().map(|&(u, v)| [Elem(u), Elem(v)]).collect();
+                    s.extend_tuples(e, rows.iter().map(|r| &r[..])).unwrap();
+                }
+                Step::Clone => {
+                    let twin = s.clone();
+                    original = Some(std::mem::replace(&mut s, twin));
+                }
+            }
+            assert_memo_agrees(&programs, &s)?;
+            if let Some(o) = &original {
+                assert_memo_agrees(&programs, o)?;
+            }
         }
     }
 }

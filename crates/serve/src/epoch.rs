@@ -12,6 +12,13 @@
 //! no reader registration, the `Arc` refcount *is* the retirement
 //! protocol.
 //!
+//! A snapshot memoizes the permuted EDB indexes its evaluations probe
+//! ([`Structure::permuted_index`]), so reads of one epoch share one index
+//! build. The writer's clone starts without that memo, and publishing
+//! epoch N+1 releases epoch N's: a superseded snapshot that resume tokens
+//! or slow readers still pin holds its relations only, and an evaluation
+//! on it builds a private index, dropped when the evaluation ends.
+//!
 //! Because a failed or panicking batch dies on the private clone, the
 //! published snapshot is never observed half-written: writer faults are
 //! contained by construction, which the chaos suite verifies by injecting
@@ -68,6 +75,14 @@ pub enum WriteError {
         /// The universe size the batch would produce.
         universe: u32,
     },
+    /// Growing the universe by `grow` elements would take it past
+    /// `u32::MAX` elements, more than element ids can address.
+    UniverseOverflow {
+        /// The universe size before the batch.
+        universe: usize,
+        /// The requested growth.
+        grow: u32,
+    },
     /// The writer panicked while applying the batch (only reachable with
     /// fault injection; a real batch is fully validated up front). The
     /// snapshot in force before the batch is still published.
@@ -93,6 +108,11 @@ impl std::fmt::Display for WriteError {
             } => write!(
                 f,
                 "element {element} in {relation:?} outside universe of size {universe}"
+            ),
+            WriteError::UniverseOverflow { universe, grow } => write!(
+                f,
+                "growing the universe of size {universe} by {grow} exceeds {} elements",
+                u32::MAX
             ),
             WriteError::WriterPanic => f.write_str("writer panicked mid-batch; epoch unchanged"),
         }
@@ -152,7 +172,14 @@ impl EpochStore {
         let next_epoch = base.epoch + 1;
 
         let vocab = base.structure.vocab().clone();
-        let new_universe = base.structure.universe_size() as u32 + batch.grow_universe;
+        let universe = base.structure.universe_size();
+        let new_universe = u32::try_from(universe)
+            .ok()
+            .and_then(|u| u.checked_add(batch.grow_universe))
+            .ok_or(WriteError::UniverseOverflow {
+                universe,
+                grow: batch.grow_universe,
+            })?;
         validate(&vocab, new_universe, &batch.inserts)?;
         validate(&vocab, new_universe, &batch.deletes)?;
 
@@ -164,10 +191,17 @@ impl EpochStore {
         }))
         .map_err(|_| WriteError::WriterPanic)?;
 
-        *self.current.lock().unwrap_or_else(|e| e.into_inner()) = Arc::new(Snapshot {
-            epoch: next_epoch,
-            structure: built,
-        });
+        let superseded = std::mem::replace(
+            &mut *self.current.lock().unwrap_or_else(|e| e.into_inner()),
+            Arc::new(Snapshot {
+                epoch: next_epoch,
+                structure: built,
+            }),
+        );
+        // Readers still pinning the old epoch keep its relations, but not
+        // its memoized permuted indexes: their evaluations build private
+        // copies, so pinned snapshots cost no more than their data.
+        superseded.structure.release_index_memo();
         Ok(next_epoch)
     }
 }
@@ -252,6 +286,9 @@ fn fault_point(_next_epoch: u64, _step: &mut u64) {}
 
 #[cfg(test)]
 mod tests {
+    // Every test holds `hp_guard::fault::exclusive()`: the fault plan is
+    // process-global, so a test that installs one must not run beside a
+    // test whose requests or writes would hit (or consume) its trigger.
     use super::*;
 
     fn seed() -> Structure {
@@ -265,6 +302,7 @@ mod tests {
 
     #[test]
     fn pinned_epoch_survives_later_writes() {
+        let _serial = hp_guard::fault::exclusive();
         let store = EpochStore::new(seed());
         let pinned = store.pin();
         assert_eq!(pinned.epoch, 0);
@@ -286,6 +324,7 @@ mod tests {
 
     #[test]
     fn invalid_batches_are_rejected_atomically() {
+        let _serial = hp_guard::fault::exclusive();
         let store = EpochStore::new(seed());
         let bad = UpdateBatch {
             inserts: vec![
@@ -331,6 +370,7 @@ mod tests {
 
     #[test]
     fn universe_growth_preserves_existing_tuples() {
+        let _serial = hp_guard::fault::exclusive();
         let store = EpochStore::new(seed());
         store
             .apply(&UpdateBatch {
@@ -345,6 +385,25 @@ mod tests {
         let e = snap.structure.vocab().lookup("E").unwrap();
         assert!(snap.structure.contains_tuple(e, &[Elem(0), Elem(1)]));
         assert!(snap.structure.contains_tuple(e, &[Elem(3), Elem(5)]));
+    }
+
+    #[test]
+    fn universe_growth_past_u32_is_rejected_not_wrapped() {
+        let _serial = hp_guard::fault::exclusive();
+        let store = EpochStore::new(Structure::new(Vocabulary::digraph(), 64));
+        let r = store.apply(&UpdateBatch {
+            grow_universe: u32::MAX,
+            ..Default::default()
+        });
+        assert_eq!(
+            r,
+            Err(WriteError::UniverseOverflow {
+                universe: 64,
+                grow: u32::MAX
+            })
+        );
+        assert_eq!(store.current_epoch(), 0);
+        assert_eq!(store.pin().structure.universe_size(), 64);
     }
 
     #[test]

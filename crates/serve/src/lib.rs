@@ -16,7 +16,8 @@
 //!   with one bounded retry around worker panics and a degradation
 //!   ladder of full answer → budget-partial with resume token → shed.
 //! * [`server`] — the line-delimited JSON protocol over a Unix socket,
-//!   with per-connection interrupts and graceful drain.
+//!   with per-connection interrupts, a bounded line reader and graceful
+//!   drain.
 //! * [`protocol`] / [`json`] — the wire format (hand-rolled RFC 8259;
 //!   the build container has no serde).
 //!

@@ -13,9 +13,11 @@
 //! The protocol is strictly line-delimited: requests are answered in
 //! order on each connection, and a malformed line gets an `error`
 //! response rather than a hangup, so one client bug cannot poison a
-//! session.
+//! session. A line longer than [`MAX_LINE_BYTES`] is the exception: it
+//! gets an `error` response and the connection closes, because the server
+//! buffers no more of it and so cannot find where the next request starts.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -25,6 +27,55 @@ use hp_guard::Interrupt;
 
 use crate::protocol::{parse_request, Request, Response};
 use crate::service::QueryService;
+
+/// Longest request line the server buffers, newline excluded (1 MiB).
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// One outcome of [`read_line_bounded`].
+#[derive(Debug, PartialEq, Eq)]
+enum LineRead {
+    /// A complete line is in the buffer (the final line may lack its
+    /// newline).
+    Line,
+    /// The line exceeded [`MAX_LINE_BYTES`]; the buffer holds a prefix.
+    TooLong,
+    /// End of stream with nothing buffered.
+    Eof,
+}
+
+/// Read one `\n`-terminated line into `line` (terminator and a preceding
+/// `\r` stripped), buffering at most [`MAX_LINE_BYTES`] bytes of it.
+fn read_line_bounded<R: BufRead>(reader: &mut R, line: &mut Vec<u8>) -> std::io::Result<LineRead> {
+    line.clear();
+    loop {
+        let available = match reader.fill_buf() {
+            Ok(b) => b,
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        if available.is_empty() {
+            return Ok(if line.is_empty() {
+                LineRead::Eof
+            } else {
+                LineRead::Line
+            });
+        }
+        let newline = available.iter().position(|&b| b == b'\n');
+        let chunk = &available[..newline.unwrap_or(available.len())];
+        if line.len() + chunk.len() > MAX_LINE_BYTES {
+            return Ok(LineRead::TooLong);
+        }
+        line.extend_from_slice(chunk);
+        let used = chunk.len() + usize::from(newline.is_some());
+        reader.consume(used);
+        if newline.is_some() {
+            if line.last() == Some(&b'\r') {
+                line.pop();
+            }
+            return Ok(LineRead::Line);
+        }
+    }
+}
 
 /// The shared drain switch: one flag, every connection's interrupt and
 /// stream, and the socket path (to self-connect and unblock the accept
@@ -157,22 +208,34 @@ fn serve_connection(
         Ok(w) => w,
         Err(_) => return,
     };
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let Ok(line) = line else {
-            // Read error: the client is gone. Cancel its in-flight work.
-            token.trigger();
-            return;
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let response = if switch.is_draining() {
-            Response::Error {
-                message: "service is draining".to_string(),
+    let mut reader = BufReader::new(stream);
+    let mut buf: Vec<u8> = Vec::new();
+    loop {
+        let line = match read_line_bounded(&mut reader, &mut buf) {
+            Ok(LineRead::Line) => std::str::from_utf8(&buf),
+            Ok(LineRead::TooLong) => {
+                let response = Response::Error {
+                    message: format!("request line exceeds {MAX_LINE_BYTES} bytes"),
+                };
+                let _ = writeln!(writer, "{}", response.render());
+                let _ = writer.flush();
+                let _ = writer.shutdown(std::net::Shutdown::Both);
+                token.trigger();
+                return;
             }
-        } else {
-            match parse_request(&line) {
+            // EOF or a read error: the client is gone. Cancel its
+            // in-flight work.
+            Ok(LineRead::Eof) | Err(_) => {
+                token.trigger();
+                return;
+            }
+        };
+        let response = match line {
+            Ok(line) if line.trim().is_empty() => continue,
+            Ok(_) if switch.is_draining() => Response::Error {
+                message: "service is draining".to_string(),
+            },
+            Ok(line) => match parse_request(line) {
                 Ok(req) => {
                     let resp = service.handle(&req, token);
                     if matches!(req, Request::Shutdown) {
@@ -185,19 +248,23 @@ fn serve_connection(
                     resp
                 }
                 Err(e) => Response::Error { message: e },
-            }
+            },
+            Err(_) => Response::Error {
+                message: "request line is not valid UTF-8".to_string(),
+            },
         };
         if writeln!(writer, "{}", response.render()).is_err() || writer.flush().is_err() {
             token.trigger();
             return;
         }
     }
-    // EOF: connection dropped; cancel any in-flight work for it.
-    token.trigger();
 }
 
 #[cfg(test)]
 mod tests {
+    // Every test holds `hp_guard::fault::exclusive()`: the fault plan is
+    // process-global, so a test that installs one must not run beside a
+    // test whose requests or writes would hit (or consume) its trigger.
     use super::*;
     use crate::service::ServiceConfig;
     use hp_structures::{Elem, Structure, Vocabulary};
@@ -226,6 +293,7 @@ mod tests {
 
     #[test]
     fn socket_roundtrip_query_update_stats_shutdown() {
+        let _serial = hp_guard::fault::exclusive();
         let path = sock_path("roundtrip");
         let svc = Arc::new(QueryService::new(seed(), ServiceConfig::default()));
         let server = Server::bind(&path, svc).unwrap();
@@ -261,7 +329,100 @@ mod tests {
     }
 
     #[test]
+    fn line_reader_strips_terminators_and_stops_at_the_cap() {
+        let _serial = hp_guard::fault::exclusive();
+        let mut line = Vec::new();
+        let mut r = BufReader::new(&b"a\r\nbc\n\nlast"[..]);
+        let mut next = |line: &mut Vec<u8>| read_line_bounded(&mut r, line).unwrap();
+        assert_eq!(
+            (next(&mut line), line.as_slice()),
+            (LineRead::Line, &b"a"[..])
+        );
+        assert_eq!(
+            (next(&mut line), line.as_slice()),
+            (LineRead::Line, &b"bc"[..])
+        );
+        assert_eq!(
+            (next(&mut line), line.as_slice()),
+            (LineRead::Line, &b""[..])
+        );
+        assert_eq!(
+            (next(&mut line), line.as_slice()),
+            (LineRead::Line, &b"last"[..])
+        );
+        assert_eq!(next(&mut line), LineRead::Eof);
+
+        let mut exact = vec![b'x'; MAX_LINE_BYTES];
+        exact.push(b'\n');
+        let mut r = BufReader::new(exact.as_slice());
+        assert_eq!(
+            read_line_bounded(&mut r, &mut line).unwrap(),
+            LineRead::Line
+        );
+        assert_eq!(line.len(), MAX_LINE_BYTES);
+        let over = vec![b'x'; MAX_LINE_BYTES + 1];
+        let mut r = BufReader::new(over.as_slice());
+        assert_eq!(
+            read_line_bounded(&mut r, &mut line).unwrap(),
+            LineRead::TooLong
+        );
+        assert!(line.len() <= MAX_LINE_BYTES);
+    }
+
+    #[test]
+    fn over_long_line_gets_a_typed_error_and_the_connection_closes() {
+        let _serial = hp_guard::fault::exclusive();
+        let path = sock_path("longline");
+        let svc = Arc::new(QueryService::new(seed(), ServiceConfig::default()));
+        let server = Server::bind(&path, svc).unwrap();
+
+        let c = UnixStream::connect(&path).unwrap();
+        // A client that never sends a newline. The server stops reading at
+        // the cap, so the tail of this write may fail; that is expected.
+        let mut w = c.try_clone().unwrap();
+        let flood = std::thread::spawn(move || {
+            let _ = w.write_all(&vec![b'{'; MAX_LINE_BYTES + 4096]);
+        });
+        let mut r = BufReader::new(c.try_clone().unwrap());
+        let mut reply = String::new();
+        r.read_line(&mut reply).unwrap();
+        assert!(reply.contains("\"status\":\"error\""), "{reply}");
+        assert!(reply.contains("exceeds"), "{reply}");
+        reply.clear();
+        assert_eq!(r.read_line(&mut reply).unwrap(), 0, "connection closed");
+        flood.join().unwrap();
+
+        // The server itself is unaffected.
+        let mut c2 = UnixStream::connect(&path).unwrap();
+        let a = roundtrip(
+            &mut c2,
+            "{\"op\":\"query\",\"program\":\"Goal(x,y) :- E(x,y).\"}",
+        );
+        assert!(a.contains("\"status\":\"ok\""), "{a}");
+        server.shutdown();
+    }
+
+    #[test]
+    fn invalid_utf8_line_gets_a_typed_error_and_the_session_continues() {
+        let _serial = hp_guard::fault::exclusive();
+        let path = sock_path("utf8");
+        let svc = Arc::new(QueryService::new(seed(), ServiceConfig::default()));
+        let server = Server::bind(&path, svc).unwrap();
+        let mut c = UnixStream::connect(&path).unwrap();
+        let mut w = c.try_clone().unwrap();
+        w.write_all(b"{\"op\":\"stats\xff\"}\n").unwrap();
+        let mut r = BufReader::new(c.try_clone().unwrap());
+        let mut reply = String::new();
+        r.read_line(&mut reply).unwrap();
+        assert!(reply.contains("not valid UTF-8"), "{reply}");
+        let s = roundtrip(&mut c, "{\"op\":\"stats\"}");
+        assert!(s.contains("\"status\":\"ok\""), "{s}");
+        server.shutdown();
+    }
+
+    #[test]
     fn dropped_connection_does_not_wedge_the_server() {
+        let _serial = hp_guard::fault::exclusive();
         let path = sock_path("drop");
         let svc = Arc::new(QueryService::new(seed(), ServiceConfig::default()));
         let server = Server::bind(&path, svc).unwrap();

@@ -608,6 +608,9 @@ fn fault_worker(_seq: u64) {}
 
 #[cfg(test)]
 mod tests {
+    // Every test holds `hp_guard::fault::exclusive()`: the fault plan is
+    // process-global, so a test that installs one must not run beside a
+    // test whose requests or writes would hit (or consume) its trigger.
     use super::*;
     use crate::protocol::parse_request;
     use hp_structures::Vocabulary;
@@ -632,6 +635,7 @@ mod tests {
 
     #[test]
     fn datalog_query_answers_and_caches() {
+        let _serial = hp_guard::fault::exclusive();
         let svc = service();
         let q = "{\"op\":\"query\",\"program\":\"Goal(x,y) :- E(x,y).\"}";
         match query(&svc, q) {
@@ -657,6 +661,7 @@ mod tests {
 
     #[test]
     fn update_publishes_new_epoch_and_answers_move() {
+        let _serial = hp_guard::fault::exclusive();
         let svc = service();
         let q = "{\"op\":\"query\",\"program\":\"Goal(x,y) :- E(x,y).\"}";
         assert!(matches!(query(&svc, q), Response::Answer { epoch: 0, .. }));
@@ -678,7 +683,54 @@ mod tests {
     }
 
     #[test]
+    fn universe_overflow_is_a_typed_error_and_publishes_nothing() {
+        let _serial = hp_guard::fault::exclusive();
+        let svc = service();
+        match query(&svc, "{\"op\":\"update\",\"grow_universe\":4294967295}") {
+            Response::Error { message } => assert!(message.contains("exceeds"), "{message}"),
+            other => panic!("{other:?}"),
+        }
+        let snap = svc.store.pin();
+        assert_eq!((snap.epoch, snap.structure.universe_size()), (0, 5));
+    }
+
+    #[test]
+    fn superseded_epoch_releases_its_memoized_indexes() {
+        let _serial = hp_guard::fault::exclusive();
+        let svc = service();
+        // `E(z,y)` is probed with `y` bound: a non-prefix (permuted) index.
+        let q = "{\"op\":\"query\",\"program\":\"Goal(x,z) :- E(x,y), E(z,y).\"}";
+        let pinned = svc.store.pin();
+        let data_bytes = pinned.structure.heap_bytes();
+        assert!(matches!(query(&svc, q), Response::Answer { epoch: 0, .. }));
+        let memo_bytes = pinned.structure.heap_bytes() - data_bytes;
+        assert!(memo_bytes > 0, "the evaluation memoized its permuted index");
+        match query(&svc, "{\"op\":\"stats\"}") {
+            Response::Stats { snapshot_bytes, .. } => {
+                assert_eq!(snapshot_bytes, (data_bytes + memo_bytes) as u64)
+            }
+            other => panic!("{other:?}"),
+        }
+
+        assert!(matches!(
+            query(&svc, "{\"op\":\"update\",\"insert\":{\"E\":[[4,0]]}}"),
+            Response::Updated { epoch: 1 }
+        ));
+        assert_eq!(pinned.structure.heap_bytes(), data_bytes, "memo released");
+        // The new epoch starts with no memo of its own.
+        let current = svc.store.pin();
+        let fresh = current.structure.heap_bytes();
+        assert!(matches!(query(&svc, q), Response::Answer { epoch: 1, .. }));
+        assert!(current.structure.heap_bytes() > fresh);
+        // A reader of the superseded epoch still evaluates, privately.
+        let a = Program::parse("Goal(x,z) :- E(x,y), E(z,y).", pinned.structure.vocab()).unwrap();
+        assert_eq!(a.evaluate(&pinned.structure).goal().unwrap().len(), 4);
+        assert_eq!(pinned.structure.heap_bytes(), data_bytes);
+    }
+
+    #[test]
     fn formula_and_program_share_cache_entries() {
+        let _serial = hp_guard::fault::exclusive();
         let svc = service();
         let prog = "{\"op\":\"query\",\"program\":\"Goal(x) :- E(x,y).\"}";
         let rows1 = match query(&svc, prog) {
@@ -703,6 +755,7 @@ mod tests {
 
     #[test]
     fn fuel_exhaustion_yields_partial_with_working_resume() {
+        let _serial = hp_guard::fault::exclusive();
         let svc = service();
         // Transitive closure on the path; tiny fuel exhausts mid-run.
         let q = "{\"op\":\"query\",\"program\":\"T(x,y) :- E(x,y). T(x,z) :- T(x,y), E(y,z).\\n# goal: T\",\"fuel\":3}";
@@ -727,6 +780,7 @@ mod tests {
 
     #[test]
     fn recursive_program_bypasses_cache() {
+        let _serial = hp_guard::fault::exclusive();
         let svc = service();
         let q = "{\"op\":\"query\",\"program\":\"T(x,y) :- E(x,y). T(x,z) :- T(x,y), E(y,z).\\n# goal: T\"}";
         for _ in 0..2 {
@@ -789,6 +843,7 @@ mod tests {
 
     #[test]
     fn overload_sheds_typed() {
+        let _serial = hp_guard::fault::exclusive();
         let svc = QueryService::new(
             seed(),
             ServiceConfig {
@@ -807,6 +862,7 @@ mod tests {
 
     #[test]
     fn interrupt_stops_with_partial_and_no_token() {
+        let _serial = hp_guard::fault::exclusive();
         let svc = service();
         let token = Interrupt::new();
         token.trigger();

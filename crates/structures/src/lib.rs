@@ -52,6 +52,7 @@ mod gaifman;
 mod graph;
 mod graph_algo;
 mod ops;
+mod permuted;
 mod row;
 mod store;
 mod structure;
@@ -66,6 +67,7 @@ pub use error::StructureError;
 pub use gaifman::{is_d_scattered, Neighborhoods};
 pub use graph::Graph;
 pub use ops::identity_map;
+pub use permuted::PermutedStore;
 pub use row::{Row, RowElems, RowRef};
 pub use store::{Rows, TupleStore};
 pub use structure::{Relation, Structure, StructureBuilder};

@@ -301,7 +301,6 @@ enum Enc {
 /// `debug_assert`) and compare decoded content;
 /// [`Relation`](crate::Relation) maintains "sealed after every `&mut`
 /// method returns" so its comparisons are always canonical.
-#[derive(Clone)]
 pub struct TupleStore {
     arity: usize,
     /// Number of rows in the sorted run.
@@ -314,6 +313,41 @@ pub struct TupleStore {
     pending_rows: usize,
     /// Pending arena: `pending_rows * arity` raw elements, insertion order.
     pending: Vec<Elem>,
+}
+
+/// Batches of at most this many rows enter a non-empty sorted run by
+/// shifting each row into place ([`TupleStore::seal`],
+/// [`TupleStore::merge`]). A rebuild makes about three passes over the run
+/// and allocates a fresh copy of every plane; one in-place row costs one
+/// tail shift per plane and no allocation while capacity lasts.
+const IN_PLACE_ROWS: usize = 4;
+
+/// Spare rows of capacity a [`TupleStore`] clone reserves per plane.
+const CLONE_SPARE_ROWS: usize = 16;
+
+impl Clone for TupleStore {
+    /// A copy whose planes keep a few rows of spare capacity. Stores are
+    /// cloned to be changed: the query service clones a snapshot to apply
+    /// a small update batch. An exact-capacity clone would allocate and
+    /// copy every plane a second time on its first insert.
+    fn clone(&self) -> Self {
+        TupleStore {
+            arity: self.arity,
+            rows: self.rows,
+            dict: self.dict.clone(),
+            planes: self
+                .planes
+                .iter()
+                .map(|p| {
+                    let mut copy = Vec::with_capacity(p.len() + CLONE_SPARE_ROWS);
+                    copy.extend_from_slice(p);
+                    copy
+                })
+                .collect(),
+            pending_rows: self.pending_rows,
+            pending: self.pending.clone(),
+        }
+    }
 }
 
 impl TupleStore {
@@ -462,6 +496,12 @@ impl TupleStore {
         let pend = std::mem::take(&mut self.pending);
         let prows = self.pending_rows;
         self.pending_rows = 0;
+        if self.rows > 0 && prows <= IN_PLACE_ROWS {
+            for row in pend.chunks_exact(k) {
+                self.insert_sealed(row);
+            }
+            return;
+        }
         debug_assert_eq!(pend.len(), prows * k);
         self.extend_dict(&pend);
         let enc = self.encoder();
@@ -755,6 +795,14 @@ impl TupleStore {
     pub fn insert<R: Row>(&mut self, t: R) -> bool {
         debug_assert_eq!(t.width(), self.arity);
         self.seal();
+        self.insert_sealed(t)
+    }
+
+    /// [`insert`](TupleStore::insert) into a store with no pending rows:
+    /// absorb the row's unseen values into the dictionary, then shift the
+    /// row into place in every plane.
+    fn insert_sealed<R: Row>(&mut self, t: R) -> bool {
+        debug_assert!(self.is_sealed());
         let k = self.arity;
         if k == 0 {
             if self.rows == 0 {
@@ -842,6 +890,12 @@ impl TupleStore {
             self.dict = other.dict.clone();
             self.planes = other.planes.clone();
             self.rows = other.rows;
+            return;
+        }
+        if other.rows <= IN_PLACE_ROWS {
+            for row in other.iter() {
+                self.insert_sealed(row);
+            }
             return;
         }
         let (udict, rs, ro) = union_dicts(&self.dict, &other.dict);
@@ -1334,6 +1388,41 @@ mod tests {
                 vec![5, 5, 5]
             ]
         );
+    }
+
+    #[test]
+    fn small_batches_enter_the_run_in_place() {
+        let row = |t: [u32; 2]| [Elem(t[0]), Elem(t[1])];
+        let base: Vec<[u32; 2]> = (0..50u32).map(|i| [2 * i + 1, (7 * i) % 11]).collect();
+        // Below every value, a duplicate, above every value, and a new
+        // value between existing ones.
+        let batch = [[0, 4], [1, 0], [500, 0], [4, 12]];
+        assert!(batch.len() <= IN_PLACE_ROWS);
+        let mut whole = TupleStore::new(2);
+        for &t in base.iter().chain(&batch) {
+            whole.push(&row(t)[..]);
+        }
+        whole.seal();
+
+        let mut sealed = TupleStore::new(2);
+        for &t in &base {
+            sealed.push(&row(t)[..]);
+        }
+        sealed.seal();
+        let mut merged = sealed.clone();
+        let mut other = TupleStore::new(2);
+        for t in batch {
+            sealed.push(&row(t)[..]);
+            other.push(&row(t)[..]);
+        }
+        sealed.seal();
+        other.seal();
+        merged.merge(&other);
+        for s in [&sealed, &merged] {
+            assert_eq!(rows_of(s), rows_of(&whole));
+            assert_eq!(s.dict_len(), whole.dict_len());
+            assert_eq!(s, &whole);
+        }
     }
 
     #[test]

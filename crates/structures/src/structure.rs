@@ -1,9 +1,13 @@
 //! Finite σ-structures.
 
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::elem::Elem;
 use crate::error::StructureError;
+use crate::permuted::PermutedStore;
 use crate::row::{Row, RowRef};
 use crate::store::TupleStore;
 use crate::vocab::{SymbolId, Vocabulary};
@@ -120,6 +124,10 @@ impl Relation {
     /// galloping [`TupleStore::difference`] pass. Returns the number of
     /// tuples actually removed.
     pub fn remove_tuples(&mut self, other: &TupleStore) -> usize {
+        if other.is_empty() {
+            // Nothing to drop: keep the store rather than copy it.
+            return 0;
+        }
         let before = self.store.len();
         self.store = self.store.difference(other);
         before - self.store.len()
@@ -175,11 +183,64 @@ impl fmt::Debug for Relation {
 /// Structural equality (`==`) is equality of vocabulary, universe size, and
 /// relations — i.e. equality *as labelled structures*, not isomorphism
 /// (isomorphism lives in `hp-hom`).
+///
+/// A structure also memoizes the [`PermutedStore`]s handed out by
+/// [`permuted_index`](Structure::permuted_index). The memo is a cache, not
+/// content: equality and hashing ignore it, a clone starts with an empty
+/// one, and every `&mut self` method clears it.
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Structure {
     vocab: Vocabulary,
     universe: usize,
     relations: Vec<Relation>,
+    memo: IndexMemo,
+}
+
+/// One memoized permuted index: filled once, by the first reader that asks.
+type MemoCell = Arc<OnceLock<Arc<PermutedStore>>>;
+
+/// The permuted-index memo of one [`Structure`], keyed by
+/// `(symbol, key positions)`.
+#[derive(Default)]
+struct IndexMemo {
+    state: Mutex<MemoState>,
+}
+
+#[derive(Default)]
+struct MemoState {
+    /// Set by [`Structure::release_index_memo`]: the memo stays empty and
+    /// every request builds a private copy.
+    released: bool,
+    entries: HashMap<(SymbolId, Vec<usize>), MemoCell>,
+}
+
+impl IndexMemo {
+    /// Drop every entry (the structure is about to change).
+    fn clear(&mut self) {
+        self.state
+            .get_mut()
+            .unwrap_or_else(|e| e.into_inner())
+            .entries
+            .clear();
+    }
+}
+
+impl Clone for IndexMemo {
+    fn clone(&self) -> IndexMemo {
+        IndexMemo::default()
+    }
+}
+
+impl PartialEq for IndexMemo {
+    fn eq(&self, _: &IndexMemo) -> bool {
+        true
+    }
+}
+
+impl Eq for IndexMemo {}
+
+impl Hash for IndexMemo {
+    fn hash<H: Hasher>(&self, _: &mut H) {}
 }
 
 impl Structure {
@@ -190,6 +251,7 @@ impl Structure {
             vocab,
             universe,
             relations,
+            memo: IndexMemo::default(),
         }
     }
 
@@ -240,9 +302,69 @@ impl Structure {
     }
 
     /// Heap bytes held by all relation arenas (see
-    /// [`Relation::heap_bytes`]); the universe itself stores nothing.
+    /// [`Relation::heap_bytes`]) plus the memoized permuted indexes; the
+    /// universe itself stores nothing.
     pub fn heap_bytes(&self) -> usize {
-        self.relations.iter().map(Relation::heap_bytes).sum()
+        let memo: usize = self
+            .memo
+            .state
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .entries
+            .values()
+            .filter_map(|cell| cell.get().map(|p| p.heap_bytes()))
+            .sum();
+        self.relations
+            .iter()
+            .map(Relation::heap_bytes)
+            .sum::<usize>()
+            + memo
+    }
+
+    /// The relation `sym` sorted with the columns `key_positions` leading,
+    /// for probes on a key that is not a column prefix.
+    ///
+    /// The first call for a `(sym, key_positions)` pair sorts the copy and
+    /// memoizes it; later calls share it. A concurrent caller of a missing
+    /// entry waits for the first build instead of sorting its own. After
+    /// [`release_index_memo`](Structure::release_index_memo) every call
+    /// builds a private, unshared copy.
+    pub fn permuted_index(&self, sym: SymbolId, key_positions: &[usize]) -> Arc<PermutedStore> {
+        let build = || {
+            Arc::new(PermutedStore::build(
+                self.relation(sym).store(),
+                key_positions,
+            ))
+        };
+        let cell = {
+            let mut state = self.memo.state.lock().unwrap_or_else(|e| e.into_inner());
+            if state.released {
+                None
+            } else {
+                Some(
+                    state
+                        .entries
+                        .entry((sym, key_positions.to_vec()))
+                        .or_default()
+                        .clone(),
+                )
+            }
+        };
+        match cell {
+            // The map lock is not held while sorting: builds of different
+            // keys proceed in parallel, and the cell serializes one key.
+            Some(cell) => cell.get_or_init(build).clone(),
+            None => build(),
+        }
+    }
+
+    /// Drop the memoized permuted indexes and stop memoizing new ones.
+    /// For a snapshot that has been superseded: readers still pinning it
+    /// keep working, but no longer keep an index alive beside its data.
+    pub fn release_index_memo(&self) {
+        let mut state = self.memo.state.lock().unwrap_or_else(|e| e.into_inner());
+        state.released = true;
+        state.entries.clear();
     }
 
     /// Add a tuple to a relation, validating arity and range.
@@ -264,6 +386,7 @@ impl Structure {
                 });
             }
         }
+        self.memo.clear();
         Ok(self.relations[sym.index()].insert(t))
     }
 
@@ -304,6 +427,7 @@ impl Structure {
             t.append_to(&mut buf);
             count += 1;
         }
+        self.memo.clear();
         let rel = &mut self.relations[sym.index()];
         if arity == 0 {
             // Nullary tuples leave `buf` empty; `chunks_exact(0)` is
@@ -315,6 +439,7 @@ impl Structure {
 
     /// Remove a tuple from a relation. Returns true if it was present.
     pub fn remove_tuple<R: Row>(&mut self, sym: SymbolId, t: R) -> bool {
+        self.memo.clear();
         self.relations[sym.index()].remove(t)
     }
 
@@ -323,6 +448,7 @@ impl Structure {
     /// tuples actually removed.
     pub fn remove_tuples(&mut self, sym: SymbolId, tuples: &TupleStore) -> usize {
         debug_assert_eq!(tuples.arity(), self.vocab.arity(sym));
+        self.memo.clear();
         self.relations[sym.index()].remove_tuples(tuples)
     }
 
@@ -498,6 +624,54 @@ mod tests {
         r.insert(&[Elem(0), Elem(0)]);
         let v: Vec<Vec<u32>> = r.iter().map(|t| t.iter().map(|e| e.0).collect()).collect();
         assert_eq!(v, vec![vec![0, 0], vec![0, 1], vec![2, 0]]);
+    }
+
+    #[test]
+    fn permuted_indexes_are_memoized_until_a_mutation() {
+        let mut s = digraph3();
+        let e = SymbolId(0);
+        let base = s.heap_bytes();
+        let first = s.permuted_index(e, &[1]);
+        assert!(Arc::ptr_eq(&first, &s.permuted_index(e, &[1])));
+        assert!(!Arc::ptr_eq(&first, &s.permuted_index(e, &[0])));
+        assert!(s.heap_bytes() > base, "memo bytes are counted");
+        // Clones and equality ignore the memo.
+        let copy = s.clone();
+        assert_eq!(copy.heap_bytes(), copy.relation(e).heap_bytes());
+        assert_eq!(copy, s);
+        // A mutation drops every entry; the next build sees the new row.
+        s.add_tuple_ids(0, &[2, 1]).unwrap();
+        assert_eq!(s.heap_bytes(), s.relation(e).heap_bytes());
+        let second = s.permuted_index(e, &[1]);
+        assert!(!Arc::ptr_eq(&first, &second));
+        assert_eq!(second.probe(&[Elem(1)]).len(), 2);
+        assert_eq!(first.probe(&[Elem(1)]).len(), 1);
+    }
+
+    #[test]
+    fn concurrent_readers_share_one_build() {
+        let s = digraph3();
+        let built: Vec<Arc<PermutedStore>> = std::thread::scope(|sc| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| sc.spawn(|| s.permuted_index(SymbolId(0), &[1])))
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert!(built.iter().all(|p| Arc::ptr_eq(p, &built[0])));
+    }
+
+    #[test]
+    fn a_released_memo_builds_private_copies() {
+        let s = digraph3();
+        let base = s.heap_bytes();
+        let kept = s.permuted_index(SymbolId(0), &[1]);
+        s.release_index_memo();
+        assert_eq!(s.heap_bytes(), base);
+        let a = s.permuted_index(SymbolId(0), &[1]);
+        let b = s.permuted_index(SymbolId(0), &[1]);
+        assert!(!Arc::ptr_eq(&a, &b) && !Arc::ptr_eq(&a, &kept));
+        assert_eq!(a.store(), kept.store());
+        assert_eq!(s.heap_bytes(), base, "released memo stays empty");
     }
 
     #[test]

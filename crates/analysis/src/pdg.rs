@@ -4,17 +4,18 @@
 //! Nodes are the program's IDB predicates; there is an edge `h → q`
 //! whenever some rule with head `h` mentions `q` in its body ("`h`
 //! depends on `q`"). The graph is condensed into strongly connected
-//! components by an iterative Tarjan walk; components come out in
-//! **topological order with dependencies first**, which is exactly the
-//! evaluation order a forward dataflow analysis wants (and, reversed, the
-//! order a backward one wants). Recursion lives entirely inside the
-//! recursive SCCs, so per-SCC questions — is this component recursive,
-//! how many same-component atoms does its widest rule carry — localize
-//! the HP008/HP016 classifications the paper's §7 reasons about.
+//! components by [`hp_datalog::strongly_connected_components`];
+//! components come out in **topological order with dependencies first**,
+//! which is exactly the evaluation order a forward dataflow analysis
+//! wants (and, reversed, the order a backward one wants). Recursion lives
+//! entirely inside the recursive SCCs, so per-SCC questions — is this
+//! component recursive, how many same-component atoms does its widest
+//! rule carry — localize the HP008/HP016 classifications the paper's §7
+//! reasons about.
 
 use std::collections::BTreeSet;
 
-use hp_datalog::PredRef;
+use hp_datalog::{strongly_connected_components, PredRef};
 
 use crate::facts::ProgramFacts;
 
@@ -81,7 +82,16 @@ impl Pdg {
                 rules_using[q].push(ri);
             }
         }
-        let (scc_of, sccs) = tarjan_sccs(&deps);
+        // Edges point at dependencies, so Tarjan's completion order is
+        // already topological with dependencies first.
+        let adj: Vec<Vec<usize>> = deps.iter().map(|d| d.iter().copied().collect()).collect();
+        let sccs = strongly_connected_components(&adj);
+        let mut scc_of = vec![0usize; n];
+        for (s, members) in sccs.iter().enumerate() {
+            for &p in members {
+                scc_of[p] = s;
+            }
+        }
         Pdg {
             deps,
             neg_deps,
@@ -219,74 +229,6 @@ impl Pdg {
         }
         seen
     }
-}
-
-/// Iterative Tarjan SCC. Returns `(scc_of, sccs)` with components
-/// numbered in topological order, dependencies first — Tarjan finishes a
-/// component only after every component it can reach, so the natural
-/// emission order is already the one we want.
-fn tarjan_sccs(deps: &[BTreeSet<usize>]) -> (Vec<usize>, Vec<Vec<usize>>) {
-    let n = deps.len();
-    const UNSEEN: usize = usize::MAX;
-    let mut index = vec![UNSEEN; n];
-    let mut lowlink = vec![0usize; n];
-    let mut on_stack = vec![false; n];
-    let mut stack: Vec<usize> = Vec::new();
-    let mut next_index = 0usize;
-    let mut scc_of = vec![0usize; n];
-    let mut sccs: Vec<Vec<usize>> = Vec::new();
-
-    // Explicit DFS frames: (node, iterator position into deps[node]).
-    for root in 0..n {
-        if index[root] != UNSEEN {
-            continue;
-        }
-        let mut frames: Vec<(usize, Vec<usize>, usize)> = Vec::new();
-        index[root] = next_index;
-        lowlink[root] = next_index;
-        next_index += 1;
-        stack.push(root);
-        on_stack[root] = true;
-        frames.push((root, deps[root].iter().copied().collect(), 0));
-        while !frames.is_empty() {
-            let top = frames.len() - 1;
-            let v = frames[top].0;
-            if frames[top].2 < frames[top].1.len() {
-                let w = frames[top].1[frames[top].2];
-                frames[top].2 += 1;
-                if index[w] == UNSEEN {
-                    index[w] = next_index;
-                    lowlink[w] = next_index;
-                    next_index += 1;
-                    stack.push(w);
-                    on_stack[w] = true;
-                    frames.push((w, deps[w].iter().copied().collect(), 0));
-                } else if on_stack[w] {
-                    lowlink[v] = lowlink[v].min(index[w]);
-                }
-            } else {
-                frames.pop();
-                if let Some(&(parent, _, _)) = frames.last() {
-                    lowlink[parent] = lowlink[parent].min(lowlink[v]);
-                }
-                if lowlink[v] == index[v] {
-                    let mut members = Vec::new();
-                    loop {
-                        let w = stack.pop().expect("tarjan stack invariant");
-                        on_stack[w] = false;
-                        scc_of[w] = sccs.len();
-                        members.push(w);
-                        if w == v {
-                            break;
-                        }
-                    }
-                    members.sort_unstable();
-                    sccs.push(members);
-                }
-            }
-        }
-    }
-    (scc_of, sccs)
 }
 
 #[cfg(test)]

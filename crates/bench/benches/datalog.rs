@@ -1,7 +1,6 @@
 //! E10/E11/E-scale — Datalog: semi-naive evaluation scaling (seed scan
-//! joins vs. indexed joins vs. sharded parallel rounds on large random
-//! EDBs), Theorem 7.1 stage unfolding, and the Ajtai–Gurevich boundedness
-//! series.
+//! joins vs. indexed joins on large random EDBs), Theorem 7.1 stage
+//! unfolding, and the Ajtai–Gurevich boundedness series.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hp_preservation::datalog::{stage_probe, stage_ucq};
@@ -129,13 +128,11 @@ fn bench_evaluation(c: &mut Criterion) {
     g.finish();
 }
 
-/// E-scale: the seed scan evaluator vs. the indexed engine vs. sharded
-/// parallel rounds, on path/cycle/random-digraph families from 10² to 10⁴
-/// elements plus the stratified `win_move(2)` game family on random DAG
-/// move graphs. All three paths are verified to produce identical
-/// relations before timing.
+/// E-scale: the seed scan evaluator vs. the indexed engine, on
+/// path/cycle/random-digraph families from 10² to 10⁵ elements plus the
+/// stratified `win_move(2)` game family on random DAG move graphs. Both
+/// paths are verified to produce identical relations before timing.
 fn bench_scale(c: &mut Criterion) {
-    let sharded = EvalConfig::new().with_threads(4);
     let mut g = c.benchmark_group("datalog_scale");
     g.sample_size(10);
 
@@ -164,7 +161,7 @@ fn bench_scale(c: &mut Criterion) {
     // Stratified-negation family: win_move(2) evaluates eight strata in
     // order, reading each stratum's negated guards as membership probes
     // against the sealed lower layer. The generic loop below also gives
-    // it the seed-oracle agreement assertion and all three engine rows.
+    // it the seed-oracle agreement assertion and both engine rows.
     let wm = hp_preservation::datalog::gallery::win_move(2);
     let wm_inputs: Vec<Structure> = [1_000usize, 10_000]
         .iter()
@@ -181,38 +178,20 @@ fn bench_scale(c: &mut Criterion) {
         for a in &inputs {
             let n = a.universe_size();
             // The scan-join reference is quadratic in practice; above 10⁴
-            // elements only the indexed and sharded engines run (their
-            // agreement at that scale is covered by the differential suite
-            // and the 10⁴ assertion here).
+            // elements only the indexed engine runs (its agreement with the
+            // reference is covered by the differential suite and the 10⁴
+            // assertion here).
             if n <= 10_000 {
                 let expect = p.evaluate_reference(a);
                 assert_eq!(p.evaluate(a).relations, expect.relations, "{family}/{n}");
-                assert_eq!(
-                    p.evaluate_with(a, &sharded).relations,
-                    expect.relations,
-                    "{family}/{n}"
-                );
                 g.bench_with_input(BenchmarkId::new(format!("{family}_seed"), n), &n, |b, _| {
                     b.iter(|| std::hint::black_box(p.evaluate_reference(a).relations[0].len()))
                 });
-            } else {
-                assert_eq!(
-                    p.evaluate_with(a, &sharded).relations,
-                    p.evaluate(a).relations,
-                    "{family}/{n}"
-                );
             }
             g.bench_with_input(
                 BenchmarkId::new(format!("{family}_indexed"), n),
                 &n,
                 |b, _| b.iter(|| std::hint::black_box(p.evaluate(a).relations[0].len())),
-            );
-            g.bench_with_input(
-                BenchmarkId::new(format!("{family}_sharded4"), n),
-                &n,
-                |b, _| {
-                    b.iter(|| std::hint::black_box(p.evaluate_with(a, &sharded).relations[0].len()))
-                },
             );
         }
     }

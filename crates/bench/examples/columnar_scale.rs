@@ -17,8 +17,8 @@
 //! A second table runs the stratified-negation family: `win_move(2)`
 //! (eight strata of game-value approximation over `{Move/2, Pos/1}`) on
 //! random DAG move graphs of 10³–10⁵ positions, timing the stratum-
-//! ordered engine at 1/2/4 threads — asserted bit-identical — and the
-//! scan-join reference oracle at the sizes where it is feasible.
+//! ordered engine and, at the sizes where it is feasible, the scan-join
+//! reference oracle (asserted bit-identical).
 //!
 //! The "boxed" column is the analytic footprint of the seed
 //! representation (`BTreeSet<Vec<Elem>>`, counted as one 24-byte
@@ -175,13 +175,11 @@ fn main() {
     // evaluated to its fixpoint before the next reads its negated guards
     // as membership probes against the sealed store.
     let wm = gallery::win_move(2);
-    let t2 = EvalConfig::new().with_threads(2);
-    let t4 = EvalConfig::new().with_threads(4);
     let mut wm_rows: Vec<String> = Vec::new();
     println!("\nwin_move(2): stratified negation (8 strata), random DAG move graphs, m = 2n");
     println!(
-        "{:>9} {:>9} {:>10} {:>10} {:>10} {:>10} {:>9}",
-        "positions", "moves", "eval1_ms", "eval2_ms", "eval4_ms", "ref_ms", "lose_top"
+        "{:>9} {:>9} {:>10} {:>10} {:>9}",
+        "positions", "moves", "eval1_ms", "ref_ms", "lose_top"
     );
     for exp in 3..=max_exp.min(5) {
         let n = 10usize.pow(exp);
@@ -192,42 +190,20 @@ fn main() {
         let fix = wm.evaluate(&a);
         let eval1_ms = t0.elapsed().as_secs_f64() * 1e3;
 
-        let t1 = Instant::now();
-        let fix2 = wm.evaluate_with(&a, &t2);
-        let eval2_ms = t1.elapsed().as_secs_f64() * 1e3;
-
-        let t3 = Instant::now();
-        let fix4 = wm.evaluate_with(&a, &t4);
-        let eval4_ms = t3.elapsed().as_secs_f64() * 1e3;
-
-        // Stratified evaluation is deterministic: the sharded engines
-        // must agree bit-for-bit with the single-threaded run.
-        assert_eq!(
-            fix2.relations, fix.relations,
-            "2-thread run diverged at n={n}"
-        );
-        assert_eq!(
-            fix4.relations, fix.relations,
-            "4-thread run diverged at n={n}"
-        );
-
         let ref_ms = if n <= 10_000 {
-            let t5 = Instant::now();
+            let t1 = Instant::now();
             let r = wm.evaluate_reference(&a);
             assert_eq!(r.relations, fix.relations, "oracle disagrees at n={n}");
-            format!("{:.1}", t5.elapsed().as_secs_f64() * 1e3)
+            format!("{:.1}", t1.elapsed().as_secs_f64() * 1e3)
         } else {
             "-".to_string()
         };
 
         let lose_top = fix.relations.last().expect("win_move has IDBs").len();
-        println!(
-            "{n:>9} {m:>9} {eval1_ms:>10.1} {eval2_ms:>10.1} {eval4_ms:>10.1} {ref_ms:>10} {lose_top:>9}"
-        );
+        println!("{n:>9} {m:>9} {eval1_ms:>10.1} {ref_ms:>10} {lose_top:>9}");
         wm_rows.push(format!(
             "    {{\"positions\": {n}, \"moves\": {m}, \"eval1_ms\": {eval1_ms:.3}, \
-             \"eval2_ms\": {eval2_ms:.3}, \"eval4_ms\": {eval4_ms:.3}, \"ref_ms\": {}, \
-             \"lose_top\": {lose_top}}}",
+             \"ref_ms\": {}, \"lose_top\": {lose_top}}}",
             if ref_ms == "-" {
                 "null".to_string()
             } else {

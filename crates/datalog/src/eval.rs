@@ -1,5 +1,4 @@
-//! Bottom-up evaluation: naive stages and indexed, optionally sharded,
-//! semi-naive fixpoints.
+//! Bottom-up evaluation: naive stages and indexed semi-naive fixpoints.
 //!
 //! The engine has two data paths:
 //!
@@ -10,15 +9,10 @@
 //! - **semi-naive fixpoints** ([`Program::evaluate`] /
 //!   [`Program::evaluate_with`]) — delta rounds driven through precomputed
 //!   join plans ([`crate::plan`]) and per-predicate hash indexes
-//!   ([`crate::index`]). With [`EvalConfig::threads`] > 1 each round's
-//!   `(rule × delta atom × delta shard)` work items run on a hand-rolled
-//!   scoped worker pool; rounds are barriers and every derived tuple lands
-//!   in an ordered set, so the result — relations *and* stage counts — is
-//!   bit-identical to the sequential evaluator for every thread count.
-
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
+//!   ([`crate::index`]), run sequentially on the calling thread. Each
+//!   round's `(rule × delta atom)` work items are evaluated in a fixed
+//!   order and every derived tuple lands in an ordered set, so relations,
+//!   stage counts and fuel stops are deterministic.
 
 use std::fmt;
 
@@ -109,67 +103,25 @@ impl From<StructureError> for EvalError {
 pub type IdbRelation = Relation;
 
 /// Configuration for [`Program::evaluate_with`].
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct EvalConfig {
-    /// Worker threads for the sharded semi-naive rounds. `1` (the default)
-    /// evaluates on the calling thread; `0` uses the machine's available
-    /// parallelism. Rounds seeded by few tuples skip the pool (spawn cost
-    /// would dominate). Results are **bit-identical** for every setting.
-    pub threads: usize,
     /// Cap on the number of Φ rounds, `None` (the default) to run to the
     /// least fixpoint. When the cap stops evaluation early the result
     /// carries the relations of stage Φ^cap and
     /// [`FixpointResult::converged`] is `false`.
     pub max_stages: Option<usize>,
-    /// Rounds seeded by fewer tuples than this run on the calling thread
-    /// even when `threads > 1` (worker spawn would cost more than the
-    /// round's joins). Set to `0` to force every round onto the pool —
-    /// results are identical either way, only wall-clock changes.
-    pub parallel_min_seed: usize,
-}
-
-impl Default for EvalConfig {
-    fn default() -> EvalConfig {
-        EvalConfig {
-            threads: 1,
-            max_stages: None,
-            parallel_min_seed: PARALLEL_MIN_SEED,
-        }
-    }
 }
 
 impl EvalConfig {
-    /// The default configuration: sequential, uncapped.
+    /// The default configuration: uncapped.
     pub fn new() -> EvalConfig {
         EvalConfig::default()
-    }
-
-    /// Set the worker-thread count (`0` = available parallelism).
-    pub fn with_threads(mut self, threads: usize) -> EvalConfig {
-        self.threads = threads;
-        self
     }
 
     /// Cap the number of Φ rounds.
     pub fn with_max_stages(mut self, max_stages: usize) -> EvalConfig {
         self.max_stages = Some(max_stages);
         self
-    }
-
-    /// Set the minimum seed-tuple count below which a round stays on the
-    /// calling thread (`0` forces every round onto the pool).
-    pub fn with_parallel_min_seed(mut self, parallel_min_seed: usize) -> EvalConfig {
-        self.parallel_min_seed = parallel_min_seed;
-        self
-    }
-
-    pub(crate) fn worker_count(&self) -> usize {
-        match self.threads {
-            0 => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-            n => n,
-        }
     }
 }
 
@@ -211,11 +163,6 @@ pub struct FixpointResult {
     /// uncapped evaluation; false when [`EvalConfig::max_stages`] stopped
     /// the rounds before the fixpoint was reached.
     pub converged: bool,
-    /// Human-readable notes about degraded-mode events during evaluation —
-    /// today, worker-panic recoveries in the sharded pool (the round was
-    /// recomputed on the calling thread and evaluation continued
-    /// single-threaded). Empty on a clean run.
-    pub diagnostics: Vec<String>,
     /// Per-stratum measured cost (rounds, derived tuples, fuel,
     /// wall-clock), one entry per stratum entered. Empty for the
     /// reference evaluator and the incremental-maintenance path, which
@@ -274,23 +221,8 @@ impl StageSequence {
 }
 
 /// A unit of per-round work: one rule, optionally seeded by one IDB body
-/// atom reading the delta, restricted to one shard `(chunk, of)` of that
-/// seed scan.
-type WorkItem = (usize, Option<usize>, (usize, usize));
-
-/// Default for [`EvalConfig::parallel_min_seed`]: below ~2k seed tuples a
-/// round's joins are cheaper than spawning workers. The choice is a
-/// function of deterministic state (the delta sizes), and both paths
-/// compute identical ordered sets, so adaptivity cannot perturb results.
-const PARALLEL_MIN_SEED: usize = 2048;
-
-fn round_workers(workers: usize, min_seed: usize, seed_tuples: usize) -> usize {
-    if seed_tuples < min_seed {
-        1
-    } else {
-        workers
-    }
-}
+/// atom reading the delta.
+type WorkItem = (usize, Option<usize>);
 
 /// Shared read-only state for one round's work items.
 struct JoinCtx<'a> {
@@ -366,17 +298,16 @@ impl Program {
     }
 
     /// Semi-naive evaluation to the least fixpoint with the default
-    /// configuration (sequential, uncapped). Also records the stage count
-    /// of the **naive** operator (which is what boundedness is about) by
-    /// counting delta rounds — for Datalog the two coincide: the semi-naive
-    /// rounds compute exactly the naive stages.
+    /// configuration (uncapped). Also records the stage count of the
+    /// **naive** operator (which is what boundedness is about) by counting
+    /// delta rounds — for Datalog the two coincide: the semi-naive rounds
+    /// compute exactly the naive stages.
     pub fn evaluate(&self, a: &Structure) -> FixpointResult {
         self.evaluate_with(a, &EvalConfig::default())
     }
 
-    /// Semi-naive evaluation through the indexed join core, with optional
-    /// sharded parallel rounds and an optional stage cap. See
-    /// [`EvalConfig`]; results are bit-identical across thread counts.
+    /// Semi-naive evaluation through the indexed join core, with an
+    /// optional stage cap (see [`EvalConfig`]).
     pub fn evaluate_with(&self, a: &Structure, cfg: &EvalConfig) -> FixpointResult {
         self.fixpoint(a, cfg, Budget::unlimited().gauge(), None)
             .unwrap_or_else(|_| unreachable!("an unlimited budget cannot exhaust"))
@@ -385,11 +316,10 @@ impl Program {
     /// Budgeted semi-naive evaluation: like [`Program::evaluate_with`] but
     /// charged against `budget` — one fuel unit per round plus one per
     /// tuple newly derived in it, checked at round boundaries (so fuel
-    /// stops are deterministic and bit-identical across thread counts; the
-    /// wall clock and interrupt token are also polled there). On
-    /// exhaustion the [`EvalCheckpoint`] partial holds the relations of
-    /// the last completed round and can be handed to
-    /// [`Program::resume_budgeted`].
+    /// stops are deterministic; the wall clock and interrupt token are
+    /// also polled there). On exhaustion the [`EvalCheckpoint`] partial
+    /// holds the relations of the last completed round and can be handed
+    /// to [`Program::resume_budgeted`].
     // The large Err variants below are the point of the budgeted API:
     // exhaustion carries a full checkpoint so callers can resume.
     #[allow(clippy::result_large_err)]
@@ -487,8 +417,6 @@ impl Program {
         resume: Option<EvalCheckpoint>,
     ) -> Budgeted<FixpointResult, EvalCheckpoint> {
         let plan = ProgramPlan::new(self);
-        let workers = cfg.worker_count().max(1);
-        let chunks = workers;
         let n_idb = self.idbs().len();
         let idb_strata = self.strata();
         let num_strata = self.num_strata();
@@ -496,15 +424,10 @@ impl Program {
             .map(|ri| self.rule_stratum(ri))
             .collect();
         let mut pool = IndexPool::new(&plan, a);
-        // A worker panic degrades the rest of the evaluation to the
-        // calling thread; the diagnostics record every such recovery.
-        let mut degraded = false;
-        let mut diagnostics: Vec<String> = Vec::new();
         let checkpoint = |idb: Vec<IdbRelation>,
                           delta: Vec<IdbRelation>,
                           stages: usize,
                           stratum: usize,
-                          diagnostics: Vec<String>,
                           profile: Vec<StratumProfile>,
                           fuel: GaugeState| {
             EvalCheckpoint {
@@ -514,7 +437,6 @@ impl Program {
                     relations: idb,
                     stages,
                     converged: false,
-                    diagnostics,
                     profile,
                 },
                 delta,
@@ -533,8 +455,6 @@ impl Program {
                 // exactly as in an uninterrupted run.
                 pool.absorb(&plan, &cp.partial.relations)
                     .unwrap_or_else(|e| panic!("{e}"));
-                diagnostics = cp.partial.diagnostics;
-                degraded = !diagnostics.is_empty();
                 // Completed-strata costs survive the interruption; the
                 // resumed stratum's entry covers only post-resume work.
                 profile = cp.partial.profile;
@@ -561,24 +481,14 @@ impl Program {
             // the delta loop, pending delta in hand.
             if !std::mem::take(&mut mid_stratum) {
                 delta = self.empty_idbs();
-                let items = round0_items(&plan, &rule_strata, s, chunks);
+                let items = round0_items(&plan, &rule_strata, s);
                 let ctx = JoinCtx {
                     a,
                     idb: &idb,
                     delta: &delta,
                     pool: &pool,
                 };
-                let edb_tuples: usize = a.relations().map(|(_, r)| r.len()).sum();
-                let w = if degraded {
-                    1
-                } else {
-                    round_workers(workers, cfg.parallel_min_seed, edb_tuples)
-                };
-                let (results, recovered) = run_round(&plan, &ctx, &items, w);
-                if recovered {
-                    degraded = true;
-                    diagnostics.push(recovery_note(stages));
-                }
+                let results = run_items(&plan, &ctx, &items);
                 for (h, out) in &results {
                     delta[*h].merge_store(out);
                 }
@@ -586,15 +496,7 @@ impl Program {
                 stratum_derived += derived;
                 if let Err(stop) = gauge.tick(1 + derived) {
                     let fuel = stop.state();
-                    return Err(stop.with_partial(checkpoint(
-                        idb,
-                        delta,
-                        stages,
-                        s,
-                        diagnostics,
-                        profile,
-                        fuel,
-                    )));
+                    return Err(stop.with_partial(checkpoint(idb, delta, stages, s, profile, fuel)));
                 }
             }
             loop {
@@ -614,15 +516,7 @@ impl Program {
                 }
                 if let Err(stop) = gauge.check() {
                     let fuel = stop.state();
-                    return Err(stop.with_partial(checkpoint(
-                        idb,
-                        delta,
-                        stages,
-                        s,
-                        diagnostics,
-                        profile,
-                        fuel,
-                    )));
+                    return Err(stop.with_partial(checkpoint(idb, delta, stages, s, profile, fuel)));
                 }
                 stages += 1;
                 // Row-id capacity exhaustion (> u32::MAX rows in one IDB
@@ -633,9 +527,8 @@ impl Program {
                     acc.merge(d);
                 }
                 // One work item per (stratum rule, same-stratum positive IDB
-                // body atom, delta shard): the standard semi-naive split,
-                // sharded for the pool. Lower-stratum atoms have drained
-                // deltas and seed nothing.
+                // body atom): the standard semi-naive split. Lower-stratum
+                // atoms have drained deltas and seed nothing.
                 let items: Vec<WorkItem> = plan
                     .rules
                     .iter()
@@ -648,9 +541,7 @@ impl Program {
                                 PredRef::Idb(p) => idb_strata[p] == s,
                                 PredRef::Edb(_) => false,
                             })
-                            .flat_map(move |&bi| {
-                                (0..chunks).map(move |c| (ri, Some(bi), (c, chunks)))
-                            })
+                            .map(move |&bi| (ri, Some(bi)))
                     })
                     .collect();
                 let ctx = JoinCtx {
@@ -659,17 +550,7 @@ impl Program {
                     delta: &delta,
                     pool: &pool,
                 };
-                let delta_tuples: usize = delta.iter().map(Relation::len).sum();
-                let w = if degraded {
-                    1
-                } else {
-                    round_workers(workers, cfg.parallel_min_seed, delta_tuples)
-                };
-                let (results, recovered) = run_round(&plan, &ctx, &items, w);
-                if recovered {
-                    degraded = true;
-                    diagnostics.push(recovery_note(stages));
-                }
+                let results = run_items(&plan, &ctx, &items);
                 // New facts = (round output) \ (accumulated IDB): a galloping
                 // sorted-set difference, then one sorted-run merge per head.
                 let mut next_delta: Vec<IdbRelation> = self.empty_idbs();
@@ -682,15 +563,7 @@ impl Program {
                 stratum_derived += derived;
                 if let Err(stop) = gauge.tick(1 + derived) {
                     let fuel = stop.state();
-                    return Err(stop.with_partial(checkpoint(
-                        idb,
-                        delta,
-                        stages,
-                        s,
-                        diagnostics,
-                        profile,
-                        fuel,
-                    )));
+                    return Err(stop.with_partial(checkpoint(idb, delta, stages, s, profile, fuel)));
                 }
             }
             profile.push(StratumProfile {
@@ -707,7 +580,6 @@ impl Program {
             relations: idb,
             stages,
             converged,
-            diagnostics,
             profile,
         })
     }
@@ -717,125 +589,39 @@ impl Program {
 /// seed order. Rules with a positive atom on a stratum-`s` IDB have none
 /// (see [`RulePlan::seed_order`]): that relation is still empty, so they
 /// would derive nothing; the delta rounds seed them once it has tuples.
-fn round0_items(
-    plan: &ProgramPlan,
-    rule_strata: &[usize],
-    s: usize,
-    chunks: usize,
-) -> Vec<WorkItem> {
+fn round0_items(plan: &ProgramPlan, rule_strata: &[usize], s: usize) -> Vec<WorkItem> {
     plan.rules
         .iter()
         .enumerate()
         .filter(|&(ri, rp)| rule_strata[ri] == s && rp.seed_order.is_some())
-        .flat_map(|(ri, _)| (0..chunks).map(move |c| (ri, None, (c, chunks))))
+        .map(|(ri, _)| (ri, None))
         .collect()
 }
 
-/// The diagnostic recorded when a pool worker panicked during `round` and
-/// the round was recomputed on the calling thread.
-fn recovery_note(round: usize) -> String {
-    format!(
-        "round {round}: a pool worker panicked; the round's parallel results were \
-         discarded and recomputed on the calling thread, and evaluation \
-         continued single-threaded"
-    )
-}
-
-/// Run one round's work items, sequentially or on the scoped pool, and
-/// return each item's `(head IDB, derived tuples)` plus whether a worker
-/// panic forced a sequential recovery. Items are independent and the
-/// per-item outputs are ordered sets, so the merge is deterministic
-/// regardless of scheduling.
-///
-/// Panic isolation: every item runs behind its own `catch_unwind`
-/// boundary, so a panicking item can neither unwind through the scope
-/// (which would abort the process from a worker) nor stall siblings at
-/// the round barrier — the remaining workers drain and join normally.
-/// When any item panicked, the round's parallel results are discarded
-/// wholesale and the full item list is recomputed on the calling thread:
-/// items are pure functions of the immutable round context, so the rerun
-/// observes no state from the abandoned pass, and the returned tuples are
-/// bit-identical to what an all-sequential evaluation produces.
-fn run_round(
+/// Run one round's work items in order and return each item's
+/// `(head IDB, derived tuples)`.
+fn run_items(
     plan: &ProgramPlan,
     ctx: &JoinCtx<'_>,
     items: &[WorkItem],
-    workers: usize,
-) -> (Vec<(usize, TupleStore)>, bool) {
-    let run_one = |&(ri, delta_atom, chunk): &WorkItem| -> (usize, TupleStore) {
-        let rp = &plan.rules[ri];
-        // Derivations land in the store's pending delta (no per-tuple
-        // ordering work); one seal per item sorts and dedups them.
-        let mut out = TupleStore::new(rp.head_args.len());
-        run_item(ctx, rp, delta_atom, chunk, &mut out);
-        out.seal();
-        (rp.head, out)
-    };
-    if workers <= 1 || items.len() <= 1 {
-        return (items.iter().map(run_one).collect(), false);
-    }
-    // Hand-rolled scoped pool: workers pull item indices from an atomic
-    // cursor (cheap dynamic load balancing) and stash `(index, result)`
-    // pairs; results are re-ordered by item index afterwards so the round
-    // is deterministic by construction.
-    let cursor = AtomicUsize::new(0);
-    let panicked = AtomicBool::new(false);
-    let collected: Mutex<Vec<(usize, (usize, TupleStore))>> =
-        Mutex::new(Vec::with_capacity(items.len()));
-    std::thread::scope(|s| {
-        for _ in 0..workers.min(items.len()) {
-            s.spawn(|| {
-                let mut local: Vec<(usize, (usize, TupleStore))> = Vec::new();
-                loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= items.len() {
-                        break;
-                    }
-                    let result = catch_unwind(AssertUnwindSafe(|| {
-                        #[cfg(feature = "fault-inject")]
-                        if hp_guard::fault::should_panic("datalog.worker", i as u64) {
-                            panic!("fault injection: forced worker panic at item {i}");
-                        }
-                        run_one(&items[i])
-                    }));
-                    match result {
-                        Ok(r) => local.push((i, r)),
-                        Err(_) => {
-                            // This round is void; stop pulling work and let
-                            // the caller recover sequentially.
-                            panicked.store(true, Ordering::Relaxed);
-                            break;
-                        }
-                    }
-                }
-                // Tolerate a poisoned results lock: the Vec under it is
-                // still well-formed, and on the recovery path it is
-                // discarded anyway.
-                collected
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .extend(local);
-            });
-        }
-    });
-    if panicked.load(Ordering::Relaxed) {
-        return (items.iter().map(run_one).collect(), true);
-    }
-    let mut results = collected.into_inner().unwrap_or_else(|e| e.into_inner());
-    results.sort_by_key(|&(i, _)| i);
-    (results.into_iter().map(|(_, r)| r).collect(), false)
+) -> Vec<(usize, TupleStore)> {
+    items
+        .iter()
+        .map(|&(ri, delta_atom)| {
+            let rp = &plan.rules[ri];
+            // Derivations land in the store's pending delta (no per-tuple
+            // ordering work); one seal per item sorts and dedups them.
+            let mut out = TupleStore::new(rp.head_args.len());
+            run_item(ctx, rp, delta_atom, &mut out);
+            out.seal();
+            (rp.head, out)
+        })
+        .collect()
 }
 
 /// Evaluate one work item: all satisfying substitutions of the rule along
-/// the precomputed join order for its seeding variant, with the seed scan
-/// restricted to the item's shard.
-fn run_item(
-    ctx: &JoinCtx<'_>,
-    rp: &RulePlan,
-    delta_atom: Option<usize>,
-    chunk: (usize, usize),
-    out: &mut TupleStore,
-) {
+/// the precomputed join order for its seeding variant.
+fn run_item(ctx: &JoinCtx<'_>, rp: &RulePlan, delta_atom: Option<usize>, out: &mut TupleStore) {
     let steps = match delta_atom {
         None => rp
             .seed_order
@@ -846,16 +632,14 @@ fn run_item(
             .expect("delta atom is an IDB atom"),
     };
     let mut asg = vec![Elem(0); rp.var_count];
-    join(ctx, rp, steps, delta_atom, chunk, 0, &mut asg, out);
+    join(ctx, rp, steps, delta_atom, 0, &mut asg, out);
 }
 
-#[allow(clippy::too_many_arguments)]
 fn join(
     ctx: &JoinCtx<'_>,
     rp: &RulePlan,
     steps: &[JoinStep],
     delta_atom: Option<usize>,
-    chunk: (usize, usize),
     depth: usize,
     asg: &mut Vec<Elem>,
     out: &mut TupleStore,
@@ -880,7 +664,7 @@ fn join(
             PredRef::Idb(p) => ctx.idb[p].contains(&key),
         };
         if !present {
-            join(ctx, rp, steps, delta_atom, chunk, depth + 1, asg, out);
+            join(ctx, rp, steps, delta_atom, depth + 1, asg, out);
         }
         return;
     }
@@ -889,20 +673,16 @@ fn join(
         // bound equalities by construction of the key.
         let key: Vec<Elem> = step.bound.iter().map(|&(_, s)| asg[s]).collect();
         for t in ctx.pool.get(spec).probe(&key) {
-            advance(ctx, rp, steps, delta_atom, chunk, depth, asg, out, t, false);
+            advance(ctx, rp, steps, delta_atom, depth, asg, out, t, false);
         }
         return;
     }
     // Scan path: the whole relation (nothing bound, or this is the delta
-    // atom). The seed scan at depth 0 is the sharding point: each work item
-    // visits only its residue class of the scan.
-    let (shard, of) = if depth == 0 { chunk } else { (0, 1) };
+    // atom).
     match atom.pred {
         PredRef::Edb(sym) => {
-            for (i, t) in ctx.a.relation(sym).iter().enumerate() {
-                if i % of == shard {
-                    advance(ctx, rp, steps, delta_atom, chunk, depth, asg, out, t, true);
-                }
+            for t in ctx.a.relation(sym).iter() {
+                advance(ctx, rp, steps, delta_atom, depth, asg, out, t, true);
             }
         }
         PredRef::Idb(p) => {
@@ -911,10 +691,8 @@ fn join(
             } else {
                 &ctx.idb[p]
             };
-            for (i, t) in rel.iter().enumerate() {
-                if i % of == shard {
-                    advance(ctx, rp, steps, delta_atom, chunk, depth, asg, out, t, true);
-                }
+            for t in rel.iter() {
+                advance(ctx, rp, steps, delta_atom, depth, asg, out, t, true);
             }
         }
     }
@@ -930,7 +708,6 @@ fn advance<R: Row>(
     rp: &RulePlan,
     steps: &[JoinStep],
     delta_atom: Option<usize>,
-    chunk: (usize, usize),
     depth: usize,
     asg: &mut Vec<Elem>,
     out: &mut TupleStore,
@@ -953,7 +730,7 @@ fn advance<R: Row>(
     for &(i, s) in &step.binds {
         asg[s] = t.at(i);
     }
-    join(ctx, rp, steps, delta_atom, chunk, depth + 1, asg, out);
+    join(ctx, rp, steps, delta_atom, depth + 1, asg, out);
 }
 
 #[cfg(test)]
@@ -995,17 +772,17 @@ mod tests {
         let plan = ProgramPlan::new(&p);
         let rule_strata: Vec<usize> = (0..plan.rules.len()).map(|ri| p.rule_stratum(ri)).collect();
         let rules = |s: usize| -> Vec<usize> {
-            round0_items(&plan, &rule_strata, s, 2)
+            round0_items(&plan, &rule_strata, s)
                 .into_iter()
-                .map(|(ri, delta, _)| {
+                .map(|(ri, delta)| {
                     assert_eq!(delta, None);
                     ri
                 })
                 .collect()
         };
-        assert_eq!(rules(0), vec![0, 0]);
+        assert_eq!(rules(0), vec![0]);
         assert_eq!(p.rule_stratum(2), 1);
-        assert_eq!(rules(1), vec![2, 2]);
+        assert_eq!(rules(1), vec![2]);
     }
 
     #[test]
@@ -1175,36 +952,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_evaluation_is_bit_identical() {
-        let programs = [
-            tc(),
-            Program::parse(
-                "T(x,y) :- E(x,y).\nT(x,y) :- T(x,z), T(z,y).",
-                &Vocabulary::digraph(),
-            )
-            .unwrap(),
-            Program::parse("Goal() :- E(x,y), E(y,x).", &Vocabulary::digraph()).unwrap(),
-        ];
-        for p in &programs {
-            for seed in 0..4 {
-                let a = random_digraph(12, 30, seed);
-                let sequential = p.evaluate(&a);
-                for threads in [2usize, 4, 0] {
-                    // min_seed 0 forces every round onto the pool — the
-                    // structures here are far below the adaptive threshold.
-                    let cfg = EvalConfig::new()
-                        .with_threads(threads)
-                        .with_parallel_min_seed(0);
-                    let par = p.evaluate_with(&a, &cfg);
-                    assert_eq!(par.relations, sequential.relations, "threads {threads}");
-                    assert_eq!(par.stages, sequential.stages, "threads {threads}");
-                    assert_eq!(par.converged, sequential.converged);
-                }
-            }
-        }
-    }
-
-    #[test]
     fn budgeted_exhaustion_checkpoints_and_resumes_to_fixpoint() {
         let p = tc();
         let a = directed_path(8);
@@ -1312,39 +1059,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn budgeted_fuel_stops_are_thread_count_independent() {
-        let p = tc();
-        let a = random_digraph(12, 30, 1);
-        let sequential_cfg = EvalConfig::new();
-        let parallel_cfg = EvalConfig::new().with_threads(4).with_parallel_min_seed(0);
-        for fuel in [1u64, 5, 20, 100] {
-            let s = p.evaluate_budgeted(&a, &sequential_cfg, &Budget::fuel(fuel));
-            let t = p.evaluate_budgeted(&a, &parallel_cfg, &Budget::fuel(fuel));
-            match (s, t) {
-                (Ok(s), Ok(t)) => assert_eq!(s.relations, t.relations, "fuel {fuel}"),
-                (Err(s), Err(t)) => {
-                    assert_eq!(
-                        s.partial.partial.relations, t.partial.partial.relations,
-                        "fuel {fuel}"
-                    );
-                    assert_eq!(
-                        s.partial.fuel_spent(),
-                        t.partial.fuel_spent(),
-                        "fuel {fuel}"
-                    );
-                }
-                _ => panic!("fuel stop depends on thread count at fuel {fuel}"),
-            }
-        }
-    }
-
-    #[test]
-    fn clean_runs_carry_no_diagnostics() {
-        let r = tc().evaluate(&directed_path(5));
-        assert!(r.diagnostics.is_empty());
     }
 
     #[test]

@@ -18,9 +18,10 @@
 //!   fixpoint over the repaired state.
 //!
 //! Strata come from a condensation of the program's IDB dependency graph
-//! (Tarjan, topologically ordered). Delta joins reuse the join-order
-//! machinery of [`crate::plan`] — each rule gets one seeded order per body
-//! occurrence plus a fully-prebound rederivation order — and probe
+//! ([`crate::strongly_connected_components`], topologically ordered).
+//! Delta joins reuse the join-order machinery of [`crate::plan`] — each
+//! rule gets one seeded order per body occurrence plus a fully-prebound
+//! rederivation order — and probe
 //! persistent [`PermutedStore`] copies of the committed stores, which each
 //! batch updates by sorted-run merge and difference instead of rebuilding.
 //!
@@ -32,8 +33,6 @@
 //! of a single `f1 + f2` run.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use hp_guard::{Budget, Budgeted, Gauge, GaugeState};
 use hp_structures::{
@@ -42,8 +41,9 @@ use hp_structures::{
 };
 
 use crate::ast::{PredRef, Program};
-use crate::eval::{EvalConfig, EvalError, FixpointResult};
+use crate::eval::{EvalError, FixpointResult};
 use crate::plan::{plan_steps, plan_steps_prebound, AtomPlan, IndexSpec, JoinStep, RulePlan};
+use crate::strata::strongly_connected_components;
 
 // ---------------------------------------------------------------------------
 // Update batches
@@ -201,7 +201,7 @@ impl MaintPlan {
                 rederive_order,
             });
         }
-        let (sccs, scc_of) = condense(n_idb, &idb_dependencies(p));
+        let (sccs, scc_of) = condense(&idb_dependencies(p));
         MaintPlan {
             rules,
             specs,
@@ -231,63 +231,15 @@ fn idb_dependencies(p: &Program) -> Vec<Vec<usize>> {
     adj
 }
 
-/// Iterative Tarjan condensation. Components come out in topological order
-/// of the condensation (with edges producer → consumer, producers first),
-/// which is exactly the order maintenance must process strata in.
-fn condense(n: usize, adj: &[Vec<usize>]) -> (Vec<SccInfo>, Vec<usize>) {
-    const UNSEEN: usize = usize::MAX;
-    let mut index = vec![UNSEEN; n];
-    let mut low = vec![0usize; n];
-    let mut on_stack = vec![false; n];
-    let mut stack: Vec<usize> = Vec::new();
-    let mut next = 0usize;
-    let mut comps: Vec<Vec<usize>> = Vec::new();
-    for start in 0..n {
-        if index[start] != UNSEEN {
-            continue;
-        }
-        let mut call: Vec<(usize, usize)> = vec![(start, 0)];
-        while let Some(frame) = call.last_mut() {
-            let v = frame.0;
-            if frame.1 == 0 {
-                index[v] = next;
-                low[v] = next;
-                next += 1;
-                stack.push(v);
-                on_stack[v] = true;
-            }
-            if frame.1 < adj[v].len() {
-                let w = adj[v][frame.1];
-                frame.1 += 1;
-                if index[w] == UNSEEN {
-                    call.push((w, 0));
-                } else if on_stack[w] {
-                    low[v] = low[v].min(index[w]);
-                }
-            } else {
-                if low[v] == index[v] {
-                    let mut comp = Vec::new();
-                    loop {
-                        let w = stack.pop().expect("Tarjan stack holds the root");
-                        on_stack[w] = false;
-                        comp.push(w);
-                        if w == v {
-                            break;
-                        }
-                    }
-                    comp.sort_unstable();
-                    comps.push(comp);
-                }
-                call.pop();
-                if let Some(parent) = call.last_mut() {
-                    low[parent.0] = low[parent.0].min(low[v]);
-                }
-            }
-        }
-    }
-    // Tarjan pops sinks first; reversed, producers come first.
+/// Condense the IDB dependency graph (edges producer → consumer) into
+/// SCCs ordered producers first, which is exactly the order maintenance
+/// must process strata in.
+fn condense(adj: &[Vec<usize>]) -> (Vec<SccInfo>, Vec<usize>) {
+    // Tarjan emits consumers before their producers; reversed, producers
+    // come first.
+    let mut comps = strongly_connected_components(adj);
     comps.reverse();
-    let mut scc_of = vec![0usize; n];
+    let mut scc_of = vec![0usize; adj.len()];
     let sccs: Vec<SccInfo> = comps
         .into_iter()
         .enumerate()
@@ -340,18 +292,9 @@ pub struct MaterializedDb {
 }
 
 impl MaterializedDb {
-    /// Evaluate `program` on `structure` and materialize the result for
-    /// incremental maintenance, with the default [`EvalConfig`].
+    /// Evaluate `program` on `structure` to its least fixpoint and
+    /// materialize the result for incremental maintenance.
     pub fn new(program: &Program, structure: Structure) -> Result<MaterializedDb, EvalError> {
-        MaterializedDb::new_with(program, structure, &EvalConfig::new())
-    }
-
-    /// As [`MaterializedDb::new`] with an explicit configuration.
-    pub fn new_with(
-        program: &Program,
-        structure: Structure,
-        cfg: &EvalConfig,
-    ) -> Result<MaterializedDb, EvalError> {
         if program.has_negation() {
             return Err(EvalError::NegationUnsupported {
                 operation: "incremental view maintenance".to_string(),
@@ -362,7 +305,7 @@ impl MaterializedDb {
                 detail: "structure vocabulary differs from the program's EDB".to_string(),
             });
         }
-        let full = program.evaluate_with(&structure, cfg);
+        let full = program.evaluate(&structure);
         let plan = MaintPlan::new(program);
         let idb = full.relations;
         let indexes: Vec<PermutedStore> = plan
@@ -1109,40 +1052,6 @@ fn is_member(plan: &MaintPlan, pred: PredRef, scc: usize) -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// Deterministic parallel map
-// ---------------------------------------------------------------------------
-
-/// Map `f` over `0..n` on up to `workers` scoped threads. Results come back
-/// in index order regardless of scheduling, so every fold over them is
-/// deterministic; `workers <= 1` (the default config) runs inline.
-fn par_map<T, F>(workers: usize, n: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    if workers <= 1 || n <= 1 {
-        return (0..n).map(f).collect();
-    }
-    let cursor = AtomicUsize::new(0);
-    let results: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::with_capacity(n));
-    std::thread::scope(|s| {
-        for _ in 0..workers.min(n) {
-            s.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let r = f(i);
-                results.lock().expect("no worker panicked").push((i, r));
-            });
-        }
-    });
-    let mut v = results.into_inner().expect("no worker panicked");
-    v.sort_unstable_by_key(|&(i, _)| i);
-    v.into_iter().map(|(_, r)| r).collect()
-}
-
-// ---------------------------------------------------------------------------
 // Maintenance engine
 // ---------------------------------------------------------------------------
 
@@ -1213,12 +1122,7 @@ fn commit_edb(
 /// telescoped delta pass per `(rule, body occurrence)` with a non-empty
 /// delta, folded into the stratum's [`CountedStore`]. Returns
 /// `(rounds, changed_tuples)`.
-fn counting_scc(
-    db: &mut MaterializedDb,
-    workers: usize,
-    deltas: &mut Deltas,
-    p: usize,
-) -> (usize, usize) {
+fn counting_scc(db: &mut MaterializedDb, deltas: &mut Deltas, p: usize) -> (usize, usize) {
     let arity = db.idb[p].arity();
     let mut items: Vec<(usize, usize)> = Vec::new();
     for &ri in &db.plan.rules_by_head[p] {
@@ -1243,30 +1147,32 @@ fn counting_scc(
             overlay: None,
             gate: None,
         };
-        par_map(workers, items.len(), |ix| {
-            let (ri, ai) = items[ix];
-            let mr = &ctx.plan.rules[ri];
-            // Telescoped views: occurrences before the seed read the
-            // post-update state, occurrences after it the pre-update state,
-            // so summing the signed items is exactly New − Old at the
-            // derivation-count level.
-            let views: Vec<View> = (0..mr.atoms.len())
-                .map(|j| if j < ai { View::New } else { View::Old })
-                .collect();
-            let steps = &mr.seeded_orders[ai];
-            let pred = mr.atoms[ai].pred;
-            let mut out = CountedStore::new(arity);
-            let mut head = Vec::with_capacity(arity);
-            for (seeds, sign) in [(ctx.deltas.minus(pred), -1i64), (ctx.deltas.plus(pred), 1)] {
-                run_seeded(&ctx, mr, steps, &views, seeds, &mut |asg| {
-                    head.clear();
-                    head.extend(mr.head_args.iter().map(|&s| asg[s]));
-                    out.push(&head, sign);
-                    true
-                });
-            }
-            out
-        })
+        items
+            .iter()
+            .map(|&(ri, ai)| {
+                let mr = &ctx.plan.rules[ri];
+                // Telescoped views: occurrences before the seed read the
+                // post-update state, occurrences after it the pre-update state,
+                // so summing the signed items is exactly New − Old at the
+                // derivation-count level.
+                let views: Vec<View> = (0..mr.atoms.len())
+                    .map(|j| if j < ai { View::New } else { View::Old })
+                    .collect();
+                let steps = &mr.seeded_orders[ai];
+                let pred = mr.atoms[ai].pred;
+                let mut out = CountedStore::new(arity);
+                let mut head = Vec::with_capacity(arity);
+                for (seeds, sign) in [(ctx.deltas.minus(pred), -1i64), (ctx.deltas.plus(pred), 1)] {
+                    run_seeded(&ctx, mr, steps, &views, seeds, &mut |asg| {
+                        head.clear();
+                        head.extend(mr.head_args.iter().map(|&s| asg[s]));
+                        out.push(&head, sign);
+                        true
+                    });
+                }
+                out
+            })
+            .collect()
     };
     let counts = db.counts[p]
         .as_mut()
@@ -1290,12 +1196,7 @@ fn counting_scc(
 }
 
 /// Maintain one recursive SCC by DRed. Returns `(rounds, changed_tuples)`.
-fn dred_scc(
-    db: &mut MaterializedDb,
-    workers: usize,
-    deltas: &mut Deltas,
-    scc: usize,
-) -> (usize, usize) {
+fn dred_scc(db: &mut MaterializedDb, deltas: &mut Deltas, scc: usize) -> (usize, usize) {
     let n_idb = db.idb.len();
     let members: Vec<usize> = db.plan.sccs[scc].members.clone();
     let arity_of = |p: usize| db.idb[p].arity();
@@ -1348,35 +1249,35 @@ fn dred_scc(
                 overlay: None,
                 gate: None,
             };
-            let removed_ref = &removed;
-            let frontier_ref = &frontier;
-            par_map(workers, items.len(), |ix| {
-                let (ri, ai) = items[ix];
-                let mr = &ctx.plan.rules[ri];
-                let h = mr.head;
-                let views = vec![View::Old; mr.atoms.len()];
-                let pred = mr.atoms[ai].pred;
-                let seeds: &TupleStore = if first {
-                    ctx.deltas.minus(pred)
-                } else {
-                    let PredRef::Idb(q) = pred else {
-                        unreachable!()
+            items
+                .iter()
+                .map(|&(ri, ai)| {
+                    let mr = &ctx.plan.rules[ri];
+                    let h = mr.head;
+                    let views = vec![View::Old; mr.atoms.len()];
+                    let pred = mr.atoms[ai].pred;
+                    let seeds: &TupleStore = if first {
+                        ctx.deltas.minus(pred)
+                    } else {
+                        let PredRef::Idb(q) = pred else {
+                            unreachable!()
+                        };
+                        &frontier[q]
                     };
-                    &frontier_ref[q]
-                };
-                let mut out = TupleStore::new(arity_of(h));
-                let mut head = Vec::with_capacity(arity_of(h));
-                run_seeded(&ctx, mr, &mr.seeded_orders[ai], &views, seeds, &mut |asg| {
-                    head.clear();
-                    head.extend(mr.head_args.iter().map(|&s| asg[s]));
-                    if ctx.idb[h].contains(&head) && !removed_ref[h].contains(&head) {
-                        out.push(&head);
-                    }
-                    true
-                });
-                out.seal();
-                out
-            })
+                    let mut out = TupleStore::new(arity_of(h));
+                    let mut head = Vec::with_capacity(arity_of(h));
+                    run_seeded(&ctx, mr, &mr.seeded_orders[ai], &views, seeds, &mut |asg| {
+                        head.clear();
+                        head.extend(mr.head_args.iter().map(|&s| asg[s]));
+                        if ctx.idb[h].contains(&head) && !removed[h].contains(&head) {
+                            out.push(&head);
+                        }
+                        true
+                    });
+                    out.seal();
+                    out
+                })
+                .collect()
         };
         let mut cand: Vec<TupleStore> = (0..n_idb).map(|p| TupleStore::new(arity_of(p))).collect();
         for (ix, out) in outs.into_iter().enumerate() {
@@ -1389,40 +1290,31 @@ fn dred_scc(
                 cands.push((p, t.to_vec()));
             }
         }
-        let supported: Vec<bool> = {
-            let plan = &db.plan;
-            let structure = &db.structure;
-            let idb = &db.idb;
-            let indexes = &db.indexes;
-            let depths = &db.depths;
-            let dref: &Deltas = deltas;
-            let removed_ref = &removed;
-            let revived_ref = &revived;
-            let added_ref = &added;
-            let cands_ref = &cands;
-            par_map(workers, cands.len(), |i| {
-                let (p, t) = &cands_ref[i];
+        let supported: Vec<bool> = cands
+            .iter()
+            .map(|(p, t)| {
+                let depths = &db.depths;
                 let limit = depths[*p]
                     .as_ref()
                     .and_then(|m| m.get(t.as_slice()))
                     .copied()
                     .unwrap_or(0);
                 let gctx = Ctx {
-                    plan,
-                    structure,
-                    idb,
-                    indexes,
-                    deltas: dref,
+                    plan: &db.plan,
+                    structure: &db.structure,
+                    idb: &db.idb,
+                    indexes: &db.indexes,
+                    deltas,
                     overlay: Some(Overlay {
-                        removed: removed_ref,
-                        revived: revived_ref,
-                        added: added_ref,
+                        removed: &removed,
+                        revived: &revived,
+                        added: &added,
                     }),
                     gate: Some(DepthGate { depths, limit }),
                 };
                 rederives_with(&gctx, scc, *p, t, View::Stable)
             })
-        };
+            .collect();
         let mut kills: Vec<TupleStore> = (0..n_idb).map(|p| TupleStore::new(arity_of(p))).collect();
         for (i, (p, t)) in cands.iter().enumerate() {
             if !supported[i] {
@@ -1469,9 +1361,10 @@ fn dred_scc(
                 }),
                 gate: None,
             };
-            par_map(workers, cands.len(), |i| {
-                rederives(&ctx, scc, cands[i].0, &cands[i].1)
-            })
+            cands
+                .iter()
+                .map(|(p, t)| rederives(&ctx, scc, *p, t))
+                .collect()
         };
         let mut any = false;
         clock += 1;
@@ -1533,32 +1426,33 @@ fn dred_scc(
                 }),
                 gate: None,
             };
-            let frontier_ref = &frontier;
-            par_map(workers, items.len(), |ix| {
-                let (ri, ai) = items[ix];
-                let mr = &ctx.plan.rules[ri];
-                let h = mr.head;
-                let views = scc_views(ctx.plan, mr, scc, View::New);
-                let pred = mr.atoms[ai].pred;
-                let seeds: &TupleStore = if first {
-                    ctx.deltas.plus(pred)
-                } else {
-                    let PredRef::Idb(q) = pred else {
-                        unreachable!()
+            items
+                .iter()
+                .map(|&(ri, ai)| {
+                    let mr = &ctx.plan.rules[ri];
+                    let h = mr.head;
+                    let views = scc_views(ctx.plan, mr, scc, View::New);
+                    let pred = mr.atoms[ai].pred;
+                    let seeds: &TupleStore = if first {
+                        ctx.deltas.plus(pred)
+                    } else {
+                        let PredRef::Idb(q) = pred else {
+                            unreachable!()
+                        };
+                        &frontier[q]
                     };
-                    &frontier_ref[q]
-                };
-                let mut out = TupleStore::new(arity_of(h));
-                let mut head = Vec::with_capacity(arity_of(h));
-                run_seeded(&ctx, mr, &mr.seeded_orders[ai], &views, seeds, &mut |asg| {
-                    head.clear();
-                    head.extend(mr.head_args.iter().map(|&s| asg[s]));
-                    out.push(&head);
-                    true
-                });
-                out.seal();
-                out
-            })
+                    let mut out = TupleStore::new(arity_of(h));
+                    let mut head = Vec::with_capacity(arity_of(h));
+                    run_seeded(&ctx, mr, &mr.seeded_orders[ai], &views, seeds, &mut |asg| {
+                        head.clear();
+                        head.extend(mr.head_args.iter().map(|&s| asg[s]));
+                        out.push(&head);
+                        true
+                    });
+                    out.seal();
+                    out
+                })
+                .collect()
         };
         let mut cand: Vec<TupleStore> = (0..n_idb).map(|p| TupleStore::new(arity_of(p))).collect();
         for (ix, out) in outs.into_iter().enumerate() {
@@ -1641,13 +1535,11 @@ fn dred_scc(
 #[allow(clippy::result_large_err)]
 fn maintain(
     db: &mut MaterializedDb,
-    cfg: &EvalConfig,
     mut gauge: Gauge,
     mut deltas: Deltas,
     first_scc: usize,
     mut stages: usize,
 ) -> Budgeted<FixpointResult, IncCheckpoint> {
-    let workers = cfg.worker_count();
     let n_scc = db.plan.sccs.len();
     for si in first_scc..n_scc {
         if let Err(stop) = gauge.check() {
@@ -1655,9 +1547,9 @@ fn maintain(
             return Err(stop.with_partial(checkpoint(si, &deltas, stages, &gauge)));
         }
         let (rounds, changed) = if db.plan.sccs[si].recursive {
-            dred_scc(db, workers, &mut deltas, si)
+            dred_scc(db, &mut deltas, si)
         } else {
-            counting_scc(db, workers, &mut deltas, db.plan.sccs[si].members[0])
+            counting_scc(db, &mut deltas, db.plan.sccs[si].members[0])
         };
         stages += rounds;
         if let Err(stop) = gauge.tick(1 + changed as u64) {
@@ -1672,7 +1564,6 @@ fn maintain(
         relations: db.idb.clone(),
         stages,
         converged: true,
-        diagnostics: Vec::new(),
         profile: Vec::new(),
     })
 }
@@ -1707,20 +1598,7 @@ impl Program {
         plus: &EdbDelta,
         minus: &EdbDelta,
     ) -> Result<FixpointResult, EvalError> {
-        self.evaluate_incremental_with(db, plus, minus, &EvalConfig::new())
-    }
-
-    /// As [`Program::evaluate_incremental`] with an explicit configuration
-    /// (worker threads for the per-round delta items; results are
-    /// bit-identical for every thread count).
-    pub fn evaluate_incremental_with(
-        &self,
-        db: &mut MaterializedDb,
-        plus: &EdbDelta,
-        minus: &EdbDelta,
-        cfg: &EvalConfig,
-    ) -> Result<FixpointResult, EvalError> {
-        self.evaluate_incremental_budgeted(db, plus, minus, cfg, &Budget::unlimited())
+        self.evaluate_incremental_budgeted(db, plus, minus, &Budget::unlimited())
             .map(|r| r.expect("unlimited budgets cannot exhaust"))
     }
 
@@ -1735,7 +1613,6 @@ impl Program {
         db: &mut MaterializedDb,
         plus: &EdbDelta,
         minus: &EdbDelta,
-        cfg: &EvalConfig,
         budget: &Budget,
     ) -> Result<Budgeted<FixpointResult, IncCheckpoint>, EvalError> {
         if self.has_negation() {
@@ -1755,7 +1632,7 @@ impl Program {
             });
         }
         let deltas = commit_edb(db, plus, minus)?;
-        Ok(maintain(db, cfg, budget.gauge(), deltas, 0, 0))
+        Ok(maintain(db, budget.gauge(), deltas, 0, 0))
     }
 
     /// Resume a budget-exhausted maintenance run from its checkpoint,
@@ -1765,7 +1642,6 @@ impl Program {
         &self,
         db: &mut MaterializedDb,
         checkpoint: IncCheckpoint,
-        cfg: &EvalConfig,
         budget: &Budget,
     ) -> Result<Budgeted<FixpointResult, IncCheckpoint>, EvalError> {
         self.check_db(db)?;
@@ -1791,7 +1667,6 @@ impl Program {
         let gauge = budget.resume(checkpoint.fuel);
         Ok(maintain(
             db,
-            cfg,
             gauge,
             deltas,
             checkpoint.next_scc,

@@ -13,9 +13,8 @@
 //! - bottom-up evaluation: **naive** stages `Φ⁰, Φ¹, …` (the monotone
 //!   operator of §2.3, used for stage counting — with explicit convergence
 //!   reporting, see [`StageSequence`]) and **semi-naive** fixpoints driven
-//!   through precomputed join plans and per-predicate hash indexes, with
-//!   optional sharded parallel delta rounds ([`EvalConfig`]) that are
-//!   bit-identical to sequential evaluation;
+//!   through precomputed join plans and per-predicate hash indexes, with an
+//!   optional stage cap ([`EvalConfig`]);
 //! - **Theorem 7.1** made executable: the m-th stage of a k-Datalog program
 //!   unfolded into a finite disjunction of `CQ^k` formulas
 //!   ([`stage_formula`] / [`stage_ucq`]);
@@ -56,6 +55,7 @@ mod index;
 mod parser;
 mod plan;
 mod reference;
+mod strata;
 mod unfold;
 
 pub use ast::{DatalogAtom, PredRef, Program, Rule, DEFAULT_GOAL_NAME};
@@ -70,6 +70,7 @@ pub use eval::{
 };
 pub use incremental::{EdbDelta, IncCheckpoint, MaterializedDb};
 pub use parser::{body_atom_byte_ranges, rule_byte_ranges};
+pub use strata::strongly_connected_components;
 pub use unfold::{
     stage_formula, stage_formulas, stage_formulas_with_budget, stage_ucq, stage_ucq_with_budget,
     stages_agree,

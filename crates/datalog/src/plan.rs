@@ -5,8 +5,7 @@
 //! The seed evaluator recomputed `rule.variables()` (and a fresh
 //! binary-search closure over it) on **every** `rule_matches` invocation of
 //! every delta round. A [`ProgramPlan`] hoists all of that: it is built once
-//! per evaluation and shared — immutably, so also across worker threads —
-//! by every round.
+//! per evaluation and shared, immutably, by every round.
 //!
 //! For each rule we precompute one join order per "seeding" variant: the
 //! round-0 variant (no atom restricted to a delta; planned only for rules

@@ -1,13 +1,13 @@
 //! Scan-based reference evaluation.
 //!
 //! This module preserves the original nested full-relation-scan join —
-//! deliberately unindexed and single-threaded — for three jobs:
+//! deliberately unindexed — for three jobs:
 //!
 //! 1. the **naive** operator Φ behind [`Program::apply_operator`] and
 //!    [`Program::stages`], where oracle-grade simplicity matters more than
 //!    speed (stage sequences are probed on small structures);
 //! 2. [`Program::evaluate_reference`], the seed semi-naive evaluator that
-//!    the differential tests compare the indexed/sharded engine against
+//!    the differential tests compare the indexed engine against
 //!    (an independent implementation, not a configuration of the new one);
 //! 3. the `seed` rows of the E-scale benchmark table in EXPERIMENTS.md.
 //!
@@ -167,8 +167,8 @@ impl Program {
     }
 
     /// The seed scan-based semi-naive evaluator, retained as the
-    /// independent reference implementation: no indexes, no sharding, whole
-    /// relations scanned per join step.
+    /// independent reference implementation: no indexes, whole relations
+    /// scanned per join step.
     ///
     /// Use [`Program::evaluate`] (or [`Program::evaluate_with`]) for real
     /// workloads; this exists so differential tests and the E-scale
@@ -234,7 +234,6 @@ impl Program {
             relations: idb,
             stages,
             converged: true,
-            diagnostics: Vec::new(),
             profile: Vec::new(),
         }
     }

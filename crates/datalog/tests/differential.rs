@@ -1,8 +1,8 @@
 //! Differential tests for the evaluator stack: the naive stage oracle
 //! ([`Program::stages`]), the scan-based seed evaluator
 //! ([`Program::evaluate_reference`]), and the indexed semi-naive engine
-//! ([`Program::evaluate_with`]) at every thread count in {1, 2, 4} must
-//! agree **bit for bit** — relations *and* stage counts — on random
+//! ([`Program::evaluate`]) must agree **bit for bit** — relations *and*
+//! stage counts — on random
 //! programs and random structures, including rules with duplicate IDB body
 //! atoms, repeated variables, and 0-ary heads.
 
@@ -124,8 +124,8 @@ fn gallery() -> Vec<Program> {
     .collect()
 }
 
-/// The heart of the differential suite: every evaluator and every thread
-/// count agrees with the naive stage oracle on `a`.
+/// The heart of the differential suite: every evaluator agrees with the
+/// naive stage oracle on `a`.
 fn assert_all_agree(p: &Program, a: &Structure) -> Result<(), TestCaseError> {
     let naive = p.stages(a, 64);
     prop_assert!(naive.converged, "oracle must converge within 64 stages");
@@ -133,16 +133,10 @@ fn assert_all_agree(p: &Program, a: &Structure) -> Result<(), TestCaseError> {
     prop_assert_eq!(&reference.relations[..], naive.last());
     prop_assert_eq!(reference.stages, naive.applications());
     prop_assert!(reference.converged);
-    for threads in [1usize, 2, 4] {
-        // min_seed 0 keeps the pool engaged even on these tiny structures.
-        let cfg = EvalConfig::new()
-            .with_threads(threads)
-            .with_parallel_min_seed(0);
-        let r = p.evaluate_with(a, &cfg);
-        prop_assert_eq!(&r.relations, &reference.relations, "threads {}", threads);
-        prop_assert_eq!(r.stages, reference.stages, "threads {}", threads);
-        prop_assert!(r.converged);
-    }
+    let r = p.evaluate(a);
+    prop_assert_eq!(&r.relations, &reference.relations);
+    prop_assert_eq!(r.stages, reference.stages);
+    prop_assert!(r.converged);
     Ok(())
 }
 
@@ -150,7 +144,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Random programs × random structures: naive oracle, scan reference,
-    /// and the indexed engine at 1/2/4 threads are bit-identical.
+    /// and the indexed engine are bit-identical.
     #[test]
     fn random_programs_agree(p in program_strategy(), a in digraph_strategy(6, 16)) {
         assert_all_agree(&p, &a)?;
@@ -257,30 +251,25 @@ proptest! {
     }
 }
 
-/// Larger fixed structures so the parallel path actually distributes work
-/// over non-trivial delta shards (the proptest structures are tiny).
+/// Larger fixed structures, so the indexed engine runs many rounds over
+/// non-trivial deltas (the proptest structures are tiny).
 #[test]
-fn parallel_shards_agree_on_large_digraphs() {
+fn indexed_agrees_on_large_digraphs() {
     use hp_structures::generators::random_digraph;
     let programs = gallery();
     for seed in [3u64, 17, 40] {
         let a = random_digraph(40, 140, seed);
         for p in &programs {
             let reference = p.evaluate_reference(&a);
-            for threads in [1usize, 2, 4] {
-                let cfg = EvalConfig::new()
-                    .with_threads(threads)
-                    .with_parallel_min_seed(0);
-                let r = p.evaluate_with(&a, &cfg);
-                assert_eq!(r.relations, reference.relations, "threads {threads}");
-                assert_eq!(r.stages, reference.stages, "threads {threads}");
-            }
+            let r = p.evaluate(&a);
+            assert_eq!(r.relations, reference.relations, "seed {seed}");
+            assert_eq!(r.stages, reference.stages, "seed {seed}");
         }
     }
 }
 
 // ---------------------------------------------------------------------------
-// Stratified negation: the indexed engine at 1/2/4 threads vs the extended
+// Stratified negation: the indexed engine vs the extended
 // scan-based reference oracle. The naive `stages` oracle is positive-only
 // (the operator is non-monotone under negation), so here the reference
 // evaluator *is* the oracle — an independent implementation with its own
@@ -342,9 +331,8 @@ fn negation_gallery() -> Vec<Program> {
     ]
 }
 
-/// ~128 random EDBs: every stratifiable negation gallery program evaluates
-/// bit-identically at 1/2/4 threads and matches the reference oracle —
-/// relations *and* stage counts.
+/// ~128 random EDBs: every stratifiable negation gallery program matches
+/// the reference oracle bit for bit — relations *and* stage counts.
 #[test]
 fn stratified_negation_differential_sweep() {
     let programs = negation_gallery();
@@ -357,18 +345,10 @@ fn stratified_negation_differential_sweep() {
             edbs += 1;
             let reference = p.evaluate_reference(&a);
             assert!(reference.converged);
-            for threads in [1usize, 2, 4] {
-                let cfg = EvalConfig::new()
-                    .with_threads(threads)
-                    .with_parallel_min_seed(0);
-                let r = p.evaluate_with(&a, &cfg);
-                assert_eq!(
-                    r.relations, reference.relations,
-                    "seed {seed} threads {threads}"
-                );
-                assert_eq!(r.stages, reference.stages, "seed {seed} threads {threads}");
-                assert!(r.converged);
-            }
+            let r = p.evaluate(&a);
+            assert_eq!(r.relations, reference.relations, "seed {seed}");
+            assert_eq!(r.stages, reference.stages, "seed {seed}");
+            assert!(r.converged);
         }
     }
     assert!(edbs >= 128, "sweep covered only {edbs} EDBs");

@@ -1,15 +1,13 @@
 //! Differential suite for incremental view maintenance: random update
 //! streams applied through [`Program::evaluate_incremental`] must leave the
 //! materialized database bit-identical to a from-scratch evaluation of the
-//! updated structure — for recursive and non-recursive gallery programs, at
-//! 1, 2, and 4 worker threads — and budgeted maintenance must obey the
-//! split-budget resume law.
+//! updated structure — for recursive and non-recursive gallery programs —
+//! and budgeted maintenance must obey the split-budget resume law.
 
 use proptest::prelude::*;
 
 use hp_datalog::{
-    gallery, EdbDelta, EvalConfig, EvalError, FixpointResult, IncCheckpoint, MaterializedDb,
-    Program,
+    gallery, EdbDelta, EvalError, FixpointResult, IncCheckpoint, MaterializedDb, Program,
 };
 use hp_guard::{Budget, Budgeted};
 use hp_structures::{Elem, Structure, SymbolId, Vocabulary};
@@ -85,18 +83,23 @@ fn apply_batch(vocab: &Vocabulary, mirror: &mut Structure, batch: &[Op]) -> (Edb
     (plus, minus)
 }
 
-/// Drive `stream` through incremental maintenance and check, after every
-/// batch, that the database matches a from-scratch evaluation of the
-/// mirrored structure.
-fn check_stream(p: &Program, initial: Structure, stream: &Stream, cfg: &EvalConfig) {
-    let mut db = MaterializedDb::new_with(p, initial.clone(), cfg).expect("vocab matches");
+/// Drive `stream` through incremental maintenance and check, on the
+/// initial structure and after every batch, that the database matches a
+/// from-scratch evaluation of the mirrored structure.
+fn check_stream(p: &Program, initial: Structure, stream: &Stream) {
+    let mut db = MaterializedDb::new(p, initial.clone()).expect("vocab matches");
+    assert_eq!(
+        db.relations(),
+        &p.evaluate(&initial).relations[..],
+        "materialization diverged from full evaluation"
+    );
     let mut mirror = initial;
     for batch in stream {
         let (plus, minus) = apply_batch(p.edb(), &mut mirror, batch);
         let inc = p
-            .evaluate_incremental_with(&mut db, &plus, &minus, cfg)
+            .evaluate_incremental(&mut db, &plus, &minus)
             .expect("valid batch");
-        let full = p.evaluate_with(&mirror, cfg);
+        let full = p.evaluate(&mirror);
         assert_eq!(
             inc.relations, full.relations,
             "incremental result diverged from full re-evaluation"
@@ -134,7 +137,9 @@ fn other_vocab_programs() -> Vec<Program> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    // 72 + 72 streams here and 48 in the fuel-split block below: 192 random
+    // update streams in all.
+    #![proptest_config(ProptestConfig::with_cases(72))]
 
     /// Random insert/delete streams on digraph gallery programs match full
     /// re-evaluation after every batch.
@@ -145,10 +150,9 @@ proptest! {
         seed in 0u64..1000,
         stream in stream_strategy(4, 8),
     ) {
-        let cfg = EvalConfig::new();
         for p in digraph_programs() {
             let a = random_structure(p.edb(), n, m, seed);
-            check_stream(&p, a, &stream, &cfg);
+            check_stream(&p, a, &stream);
         }
     }
 
@@ -161,50 +165,15 @@ proptest! {
         seed in 0u64..1000,
         stream in stream_strategy(4, 8),
     ) {
-        let cfg = EvalConfig::new();
         for p in other_vocab_programs() {
             let a = random_structure(p.edb(), n, m, seed);
-            check_stream(&p, a, &stream, &cfg);
+            check_stream(&p, a, &stream);
         }
     }
+}
 
-    /// Worker-thread invariance: relations AND stage counts are identical
-    /// at 1, 2, and 4 threads (with the parallel path forced).
-    #[test]
-    fn thread_counts_are_invisible(
-        n in 1usize..7,
-        m in 0usize..10,
-        seed in 0u64..1000,
-        stream in stream_strategy(3, 8),
-    ) {
-        let p = gallery::transitive_closure();
-        let a = random_structure(p.edb(), n, m, seed);
-        let configs: Vec<EvalConfig> = [1, 2, 4]
-            .iter()
-            .map(|&t| EvalConfig::new().with_threads(t).with_parallel_min_seed(0))
-            .collect();
-        let mut dbs: Vec<MaterializedDb> = configs
-            .iter()
-            .map(|cfg| MaterializedDb::new_with(&p, a.clone(), cfg).unwrap())
-            .collect();
-        let mut mirror = a;
-        for batch in &stream {
-            let (plus, minus) = apply_batch(p.edb(), &mut mirror, batch);
-            let results: Vec<FixpointResult> = dbs
-                .iter_mut()
-                .zip(&configs)
-                .map(|(db, cfg)| {
-                    p.evaluate_incremental_with(db, &plus, &minus, cfg).unwrap()
-                })
-                .collect();
-            for r in &results[1..] {
-                prop_assert_eq!(&r.relations, &results[0].relations);
-                prop_assert_eq!(r.stages, results[0].stages);
-            }
-            let full = p.evaluate(&mirror);
-            prop_assert_eq!(&results[0].relations, &full.relations);
-        }
-    }
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Split-budget maintenance equals single-budget maintenance: fuel `f1`
     /// then `f2` leaves the database and the outcome exactly where one
@@ -219,7 +188,6 @@ proptest! {
         f2 in 1u64..20,
     ) {
         let p = gallery::cycle_detection(); // two strata: a tick between them
-        let cfg = EvalConfig::new();
         let a = random_structure(p.edb(), n, m, seed);
         let mut db_single = MaterializedDb::new(&p, a.clone()).unwrap();
         let mut db_split = db_single.clone();
@@ -227,15 +195,15 @@ proptest! {
         let (plus, minus) = apply_batch(p.edb(), &mut mirror, &ops);
 
         let single = p
-            .evaluate_incremental_budgeted(&mut db_single, &plus, &minus, &cfg, &Budget::fuel(f1 + f2))
+            .evaluate_incremental_budgeted(&mut db_single, &plus, &minus, &Budget::fuel(f1 + f2))
             .expect("valid batch");
         let split = match p
-            .evaluate_incremental_budgeted(&mut db_split, &plus, &minus, &cfg, &Budget::fuel(f1))
+            .evaluate_incremental_budgeted(&mut db_split, &plus, &minus, &Budget::fuel(f1))
             .expect("valid batch")
         {
             Ok(done) => Ok(done),
             Err(e) => p
-                .resume_incremental(&mut db_split, e.partial, &cfg, &Budget::fuel(f2))
+                .resume_incremental(&mut db_split, e.partial, &Budget::fuel(f2))
                 .expect("checkpoint comes from this run"),
         };
         prop_assert_eq!(state(split), state(single));
@@ -319,12 +287,11 @@ fn in_flight_database_refuses_new_batches() {
         let _ = a.add_tuple_ids(0, &[v, (v + 1) % 6]);
     }
     let mut db = MaterializedDb::new(&p, a).unwrap();
-    let cfg = EvalConfig::new();
     let mut minus = EdbDelta::new(p.edb());
     minus.push_ids(0, &[0, 1]);
     let empty = EdbDelta::new(p.edb());
     let exhausted = p
-        .evaluate_incremental_budgeted(&mut db, &empty, &minus, &cfg, &Budget::fuel(1))
+        .evaluate_incremental_budgeted(&mut db, &empty, &minus, &Budget::fuel(1))
         .expect("valid batch")
         .expect_err("fuel 1 cannot finish a real deletion");
     assert!(db.is_in_flight());
@@ -335,7 +302,7 @@ fn in_flight_database_refuses_new_batches() {
     assert!(matches!(err, EvalError::ProgramMismatch { .. }));
 
     let done = p
-        .resume_incremental(&mut db, exhausted.partial, &cfg, &Budget::unlimited())
+        .resume_incremental(&mut db, exhausted.partial, &Budget::unlimited())
         .expect("checkpoint comes from this run")
         .expect("unlimited resume finishes");
     assert!(!db.is_in_flight());
@@ -343,23 +310,17 @@ fn in_flight_database_refuses_new_batches() {
 
     // Resuming again, with nothing in flight, is a typed error.
     let exhausted2 = p
-        .evaluate_incremental_budgeted(
-            &mut db,
-            &empty,
-            &EdbDelta::new(p.edb()),
-            &cfg,
-            &Budget::fuel(1),
-        )
+        .evaluate_incremental_budgeted(&mut db, &empty, &EdbDelta::new(p.edb()), &Budget::fuel(1))
         .expect("valid batch");
     if let Err(cp) = exhausted2 {
         // If even the no-op run exhausted, finish it first.
-        p.resume_incremental(&mut db, cp.partial, &cfg, &Budget::unlimited())
+        p.resume_incremental(&mut db, cp.partial, &Budget::unlimited())
             .unwrap()
             .unwrap();
     }
     let stale = IncCheckpointProbe::steal(&p, &mut db);
     let err = p
-        .resume_incremental(&mut db, stale, &cfg, &Budget::unlimited())
+        .resume_incremental(&mut db, stale, &Budget::unlimited())
         .expect_err("nothing is in flight");
     assert!(matches!(err, EvalError::CheckpointMismatch { .. }));
 }
@@ -377,7 +338,6 @@ impl IncCheckpointProbe {
             &mut clone,
             &EdbDelta::new(p.edb()),
             &minus,
-            &EvalConfig::new(),
             &Budget::fuel(1),
         )
         .expect("valid batch")

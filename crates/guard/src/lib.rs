@@ -419,11 +419,10 @@ pub mod fault {
     //! A [`FaultPlan`] installed here is observed by hooks compiled into
     //! this crate's [`Gauge`](crate::Gauge) under
     //! `cfg(any(test, feature = "fault-inject"))` and into downstream
-    //! crates (e.g. the sharded Datalog evaluator's workers) under the
-    //! same gate with the feature forwarded. Each trigger fires **once**
-    //! and then disarms itself, so recovery paths re-running the same
-    //! work (like the single-threaded fallback after a worker panic)
-    //! complete normally.
+    //! crates (e.g. the query service's request workers) under the same
+    //! gate with the feature forwarded. Each trigger fires **once** and
+    //! then disarms itself, so recovery paths re-running the same work
+    //! (like the service's retry after a worker panic) complete normally.
     //!
     //! The plan is process-global; tests that install one must serialize
     //! through [`exclusive`].
@@ -438,8 +437,8 @@ pub mod fault {
         /// limit. Fires once, then disarms.
         pub exhaust_at: Option<u64>,
         /// Panic at the named injection site when its caller-supplied
-        /// counter matches (e.g. `("datalog.worker", 3)` panics the
-        /// worker processing item 3). Fires once, then disarms.
+        /// counter matches (e.g. `("serve.worker", 3)` panics the
+        /// service worker handling request 3). Fires once, then disarms.
         pub panic_at: Option<(String, u64)>,
         /// Panic at the named injection site on **every** call whose
         /// counter lies in the inclusive `[lo, hi]` range, disarming only

@@ -1,12 +1,8 @@
 //! Fault-injection harness for the workspace's robustness guarantees.
 //!
-//! Installs [`hp_guard::fault::FaultPlan`]s and checks, against the sharded
-//! Datalog evaluator (the workspace's only multi-threaded exponential
-//! construction):
+//! Installs [`hp_guard::fault::FaultPlan`]s and checks, against the
+//! budgeted Datalog evaluator and incremental maintenance:
 //!
-//! * a forced worker panic never hangs or poisons the evaluation — it is
-//!   recovered sequentially, recorded as a diagnostic, and the result is
-//!   bit-identical to the naive reference evaluator;
 //! * a forced fuel exhaustion at a fixed point yields the same
 //!   deterministic partial every time;
 //! * resuming an exhausted run with a larger budget reaches the same
@@ -20,64 +16,8 @@ use hp_guard::{fault, Budget};
 use hp_structures::generators::{directed_path, random_digraph};
 use hp_structures::Structure;
 
-/// A config that forces the parallel sharded path even on small inputs,
-/// so the worker injection site is actually exercised.
-fn parallel_cfg() -> EvalConfig {
-    EvalConfig::new().with_threads(4).with_parallel_min_seed(0)
-}
-
 fn tc_instance() -> (Program, Structure) {
     (gallery::transitive_closure(), directed_path(24))
-}
-
-#[test]
-fn forced_worker_panic_recovers_and_matches_reference() {
-    let _serial = fault::exclusive();
-    fault::clear();
-    let (p, a) = tc_instance();
-    let reference = p.evaluate_reference(&a);
-
-    fault::install(fault::FaultPlan {
-        exhaust_at: None,
-        panic_at: Some(("datalog.worker".to_string(), 0)),
-        panic_span: None,
-    });
-    let r = p.evaluate_with(&a, &parallel_cfg());
-    assert!(
-        r.diagnostics.iter().any(|d| d.contains("panicked")),
-        "recovery must be recorded: {:?}",
-        r.diagnostics
-    );
-    assert!(r.converged);
-    assert_eq!(
-        r.relations, reference.relations,
-        "sequential recovery must be bit-identical to the reference"
-    );
-
-    // The trigger disarmed itself: the next run is clean.
-    let clean = p.evaluate_with(&a, &parallel_cfg());
-    assert!(clean.diagnostics.is_empty(), "no lingering fault state");
-    assert_eq!(clean.relations, reference.relations);
-    fault::clear();
-}
-
-#[test]
-fn worker_panic_at_any_item_is_isolated() {
-    let _serial = fault::exclusive();
-    fault::clear();
-    let (p, a) = tc_instance();
-    let reference = p.evaluate_reference(&a);
-    for item in 0..4u64 {
-        fault::install(fault::FaultPlan {
-            exhaust_at: None,
-            panic_at: Some(("datalog.worker".to_string(), item)),
-            panic_span: None,
-        });
-        let r = p.evaluate_with(&a, &parallel_cfg());
-        assert!(r.converged, "item {item}: evaluation must complete");
-        assert_eq!(r.relations, reference.relations, "item {item}");
-    }
-    fault::clear();
 }
 
 #[test]
@@ -153,8 +93,8 @@ fn randomized_exhaustion_points_never_hang_or_poison() {
             }
             // No poisoned state: a clean follow-up run converges quietly.
             fault::clear();
-            let clean = p.evaluate_with(&a, &EvalConfig::new());
-            assert!(clean.diagnostics.is_empty());
+            let clean = p.evaluate(&a);
+            assert!(clean.converged);
             assert_eq!(clean.relations, reference.relations);
         }
     }
@@ -171,7 +111,6 @@ fn forced_exhaustion_during_incremental_maintenance_resumes_exactly() {
     fault::clear();
     let p = gallery::cycle_detection();
     let a = directed_path(12);
-    let cfg = EvalConfig::new();
     let mut db = MaterializedDb::new(&p, a.clone()).expect("vocab matches");
 
     // Delete an edge below the recursive derivations, then force the gauge
@@ -185,7 +124,7 @@ fn forced_exhaustion_during_incremental_maintenance_resumes_exactly() {
         panic_span: None,
     });
     let exhausted = p
-        .evaluate_incremental_budgeted(&mut db, &plus, &minus, &cfg, &Budget::unlimited())
+        .evaluate_incremental_budgeted(&mut db, &plus, &minus, &Budget::unlimited())
         .expect("valid batch")
         .expect_err("forced exhaustion must stop an unlimited run");
     assert!(db.is_in_flight());
@@ -197,7 +136,7 @@ fn forced_exhaustion_during_incremental_maintenance_resumes_exactly() {
 
     fault::clear();
     let resumed = p
-        .resume_incremental(&mut db, exhausted.partial, &cfg, &Budget::unlimited())
+        .resume_incremental(&mut db, exhausted.partial, &Budget::unlimited())
         .expect("checkpoint comes from this run")
         .expect("an unlimited, un-faulted resume finishes");
     assert!(!db.is_in_flight());
@@ -219,7 +158,6 @@ fn randomized_exhaustion_points_in_maintenance_never_poison() {
     let _serial = fault::exclusive();
     fault::clear();
     let p = gallery::cycle_detection();
-    let cfg = EvalConfig::new();
     for seed in 0..4u64 {
         let a = random_digraph(8, 16, seed);
         for at in [1u64, 2, 3, 5, 8, 10_000] {
@@ -248,7 +186,7 @@ fn randomized_exhaustion_points_in_maintenance_never_poison() {
                 panic_span: None,
             });
             match p
-                .evaluate_incremental_budgeted(&mut db, &plus, &minus, &cfg, &Budget::unlimited())
+                .evaluate_incremental_budgeted(&mut db, &plus, &minus, &Budget::unlimited())
                 .expect("valid batch")
             {
                 Ok(r) => {
@@ -258,7 +196,7 @@ fn randomized_exhaustion_points_in_maintenance_never_poison() {
                     assert!(db.is_in_flight());
                     fault::clear();
                     let resumed = p
-                        .resume_incremental(&mut db, e.partial, &cfg, &Budget::unlimited())
+                        .resume_incremental(&mut db, e.partial, &Budget::unlimited())
                         .expect("checkpoint comes from this run")
                         .expect("resume after a disarmed fault finishes");
                     assert_eq!(

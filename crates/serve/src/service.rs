@@ -48,10 +48,6 @@ pub struct ServiceConfig {
     /// Admission: maximum summed outstanding deadlines (ms) before
     /// shedding.
     pub max_debt_ms: u64,
-    /// Worker threads inside one evaluation (see
-    /// [`EvalConfig::threads`]); requests are already concurrent with
-    /// each other, so the default is 1.
-    pub eval_threads: usize,
     /// Fuel granted to canonical-core key computation; exhaustion here
     /// degrades to a cache bypass, not a failed request.
     pub key_fuel: u64,
@@ -66,7 +62,6 @@ impl Default for ServiceConfig {
             default_fuel: 5_000_000,
             max_depth: 64,
             max_debt_ms: 120_000,
-            eval_threads: 1,
             key_fuel: 100_000,
             max_resume_tokens: 256,
         }
@@ -305,7 +300,7 @@ impl QueryService {
                 .map(|k| k.as_u128())
         };
 
-        let eval_cfg = self.eval_config();
+        let eval_cfg = EvalConfig::default();
         // A stop carries its whole checkpoint by design: it is consumed
         // once, immediately, on the partial-response path — not stored.
         #[allow(clippy::result_large_err)]
@@ -340,13 +335,6 @@ impl QueryService {
                 fuel_spent: ans.fuel_spent,
             },
             Outcome::Stopped(stopped) => self.stash_partial(&program, &snap, stopped),
-        }
-    }
-
-    fn eval_config(&self) -> EvalConfig {
-        EvalConfig {
-            threads: self.cfg.eval_threads,
-            ..EvalConfig::default()
         }
     }
 
@@ -484,7 +472,7 @@ impl QueryService {
         // been published meanwhile: a resume chain is one computation.
         match slot.program.resume_budgeted(
             &slot.snapshot.structure,
-            &self.eval_config(),
+            &EvalConfig::default(),
             slot.checkpoint,
             &budget,
         ) {

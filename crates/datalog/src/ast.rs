@@ -210,86 +210,71 @@ impl Program {
     /// Stratify the program: assign each IDB its negation depth, the
     /// least `s` such that every positive dependency sits in a stratum
     /// `≤ s` and every negated dependency in a stratum `< s`. Errors with
-    /// [`DatalogErrorKind::UnstratifiableNegation`] (spanned at the rule
-    /// holding the offending negated literal) when a dependency cycle
-    /// passes through a negative edge.
+    /// [`DatalogErrorKind::UnstratifiableNegation`] (spanned at the first
+    /// rule whose negated IDB literal lies in its own head's strongly
+    /// connected component) when a dependency cycle passes through a
+    /// negative edge.
+    ///
+    /// The components come from [`crate::strata::idb_components`], so the
+    /// stratum of a component is fixed once every component it reads is:
+    /// the maximum over its members' body IDB atoms `q` of
+    /// `stratum(q) + [negated]`.
     fn compute_strata(&self) -> Result<Vec<usize>, DatalogError> {
         let n = self.idbs.len();
-        let mut strata = vec![0usize; n];
-        if !self.rules.iter().any(Rule::has_negation) {
-            return Ok(strata); // positive program: single stratum 0
+        let comps = crate::strata::idb_components(&self.rules, n);
+        let mut comp_of = vec![0usize; n];
+        for (c, members) in comps.iter().enumerate() {
+            for &m in members {
+                comp_of[m] = c;
+            }
         }
-        // Fixpoint of stratum(h) = max over body IDB atoms q of
-        // stratum(q) + [q negated]. Diverges (stratum ≥ n) exactly when a
-        // cycle passes through a negative edge.
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for r in &self.rules {
-                let PredRef::Idb(h) = r.head.pred else {
-                    continue;
-                };
-                for a in &r.body {
-                    let PredRef::Idb(q) = a.pred else { continue };
-                    let need = strata[q] + usize::from(a.negated);
-                    if strata[h] < need {
-                        strata[h] = need;
-                        changed = true;
-                    }
+        let heads: Vec<usize> = self
+            .rules
+            .iter()
+            .map(|r| match r.head.pred {
+                PredRef::Idb(h) => h,
+                PredRef::Edb(_) => unreachable!("validated: rule heads are IDB atoms"),
+            })
+            .collect();
+        for (ri, (r, &h)) in self.rules.iter().zip(&heads).enumerate() {
+            for a in r.body.iter().filter(|a| a.negated) {
+                let PredRef::Idb(q) = a.pred else { continue };
+                if comp_of[q] == comp_of[h] {
+                    return Err(DatalogError::new(
+                        DatalogErrorKind::UnstratifiableNegation {
+                            pred: self.idbs[h].0.clone(),
+                            via: self.idbs[q].0.clone(),
+                        },
+                        DatalogSpan {
+                            line: self.rule_lines[ri],
+                            rule: Some(ri),
+                        },
+                    ));
                 }
             }
-            if strata.iter().any(|&s| s >= n) {
-                // Point the error at a rule whose negated literal closes a
-                // cycle: head h with negated body IDB q where q transitively
-                // depends on h.
-                for (ri, r) in self.rules.iter().enumerate() {
-                    let PredRef::Idb(h) = r.head.pred else {
-                        continue;
-                    };
-                    for a in r.body.iter().filter(|a| a.negated) {
-                        let PredRef::Idb(q) = a.pred else { continue };
-                        if self.idb_depends_on(q, h) {
-                            return Err(DatalogError::new(
-                                DatalogErrorKind::UnstratifiableNegation {
-                                    pred: self.idbs[h].0.clone(),
-                                    via: self.idbs[q].0.clone(),
-                                },
-                                DatalogSpan {
-                                    line: self.rule_lines[ri],
-                                    rule: Some(ri),
-                                },
-                            ));
-                        }
-                    }
-                }
-                unreachable!("divergent strata without a negative cycle");
+        }
+        // Components come producers first, and the edges inside one are
+        // positive (checked above), so each component's stratum is final
+        // when it is assigned.
+        let mut strata = vec![0usize; n];
+        for (c, members) in comps.iter().enumerate() {
+            let s = self
+                .rules
+                .iter()
+                .zip(&heads)
+                .filter(|&(_, &h)| comp_of[h] == c)
+                .flat_map(|(r, _)| &r.body)
+                .filter_map(|a| match a.pred {
+                    PredRef::Idb(q) => Some(strata[q] + usize::from(a.negated)),
+                    PredRef::Edb(_) => None,
+                })
+                .max()
+                .unwrap_or(0);
+            for &m in members {
+                strata[m] = s;
             }
         }
         Ok(strata)
-    }
-
-    /// True when IDB `from` depends on IDB `to` through zero or more
-    /// dependency edges (either polarity).
-    fn idb_depends_on(&self, from: usize, to: usize) -> bool {
-        let mut seen = vec![false; self.idbs.len()];
-        let mut stack = vec![from];
-        seen[from] = true;
-        while let Some(p) = stack.pop() {
-            if p == to {
-                return true;
-            }
-            for r in self.rules.iter().filter(|r| r.head.pred == PredRef::Idb(p)) {
-                for a in &r.body {
-                    if let PredRef::Idb(q) = a.pred {
-                        if !seen[q] {
-                            seen[q] = true;
-                            stack.push(q);
-                        }
-                    }
-                }
-            }
-        }
-        false
     }
 
     /// Parse a program text (grammar documented in the crate-level docs;

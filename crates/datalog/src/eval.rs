@@ -1,27 +1,32 @@
 //! Bottom-up evaluation: naive stages and indexed semi-naive fixpoints.
 //!
-//! The engine has two data paths:
+//! The engine has two entry points:
 //!
 //! - **naive stages** ([`Program::stages`], [`Program::apply_operator`]) —
 //!   scan-based recomputation of every stage, kept oracle-simple in
 //!   [`crate::reference`]; returns a [`StageSequence`] that says whether
 //!   the least fixpoint was actually verified within the cap;
 //! - **semi-naive fixpoints** ([`Program::evaluate`] /
-//!   [`Program::evaluate_with`]) — delta rounds driven through precomputed
-//!   join plans ([`crate::plan`]) and per-predicate hash indexes
-//!   ([`crate::index`]), run sequentially on the calling thread. Each
-//!   round's `(rule × delta atom)` work items are evaluated in a fixed
-//!   order and every derived tuple lands in an ordered set, so relations,
-//!   stage counts and fuel stops are deterministic.
+//!   [`Program::evaluate_with`]) — delta rounds over precomputed join
+//!   plans ([`crate::plan`]), run sequentially on the calling thread. Each
+//!   round's `(rule × delta atom)` work items go through the join executor
+//!   that incremental maintenance also uses ([`crate::join`]): a delta
+//!   item scans its delta as the seed of step 0, and every later step
+//!   reads the evaluator's row source — the probe indexes of
+//!   [`crate::index`], or a scan of an input relation or an accumulated
+//!   IDB. Items run in a fixed order and every derived tuple lands in an
+//!   ordered set, so relations, stage counts and fuel stops are
+//!   deterministic.
 
 use std::fmt;
 
 use hp_guard::{Budget, Budgeted, Gauge, GaugeState};
-use hp_structures::{Elem, Relation, Row, Structure, StructureError, TupleStore};
+use hp_structures::{Elem, Relation, Structure, StructureError, TupleStore};
 
 use crate::ast::{PredRef, Program};
-use crate::index::IndexPool;
-use crate::plan::{JoinStep, ProgramPlan, RulePlan};
+use crate::index::{IndexPool, ProbeIter, ResolvedRow};
+use crate::join::{join, RowSource};
+use crate::plan::{AtomPlan, JoinStep, ProgramPlan};
 
 /// User-reachable misuse of the evaluation APIs, reported as a typed error
 /// instead of a panic.
@@ -224,12 +229,45 @@ impl StageSequence {
 /// atom reading the delta.
 type WorkItem = (usize, Option<usize>);
 
-/// Shared read-only state for one round's work items.
-struct JoinCtx<'a> {
+/// The evaluator's rows: probes of the index pool, and scans of the input
+/// relations and the accumulated IDBs. The semi-naive delta is not read
+/// through it: a delta order scans the delta as its seed.
+struct EvalSource<'a> {
     a: &'a Structure,
     idb: &'a [IdbRelation],
-    delta: &'a [IdbRelation],
     pool: &'a IndexPool<'a>,
+}
+
+impl RowSource for EvalSource<'_> {
+    fn rows<F: FnMut(ResolvedRow<'_>) -> bool>(
+        &self,
+        step: &JoinStep,
+        atom: &AtomPlan,
+        key: &[Elem],
+        visit: F,
+    ) -> bool {
+        let mut rows = match step.index {
+            Some(spec) => self.pool.get(spec).probe(key),
+            None => ProbeIter::scan(self.relation(atom.pred).store()),
+        };
+        rows.all(visit)
+    }
+
+    /// A negated IDB atom reads a strictly lower stratum, whose delta
+    /// drained before this stratum started, so the accumulated relation is
+    /// its final value.
+    fn contains(&self, atom: &AtomPlan, key: &[Elem]) -> bool {
+        self.relation(atom.pred).contains(key)
+    }
+}
+
+impl EvalSource<'_> {
+    fn relation(&self, pred: PredRef) -> &Relation {
+        match pred {
+            PredRef::Edb(sym) => self.a.relation(sym),
+            PredRef::Idb(p) => &self.idb[p],
+        }
+    }
 }
 
 /// A resumable snapshot of a budgeted semi-naive evaluation, returned as
@@ -482,13 +520,12 @@ impl Program {
             if !std::mem::take(&mut mid_stratum) {
                 delta = self.empty_idbs();
                 let items = round0_items(&plan, &rule_strata, s);
-                let ctx = JoinCtx {
+                let src = EvalSource {
                     a,
                     idb: &idb,
-                    delta: &delta,
                     pool: &pool,
                 };
-                let results = run_items(&plan, &ctx, &items);
+                let results = run_items(&plan, &src, &delta, &items);
                 for (h, out) in &results {
                     delta[*h].merge_store(out);
                 }
@@ -544,13 +581,12 @@ impl Program {
                             .map(move |&bi| (ri, Some(bi)))
                     })
                     .collect();
-                let ctx = JoinCtx {
+                let src = EvalSource {
                     a,
                     idb: &idb,
-                    delta: &delta,
                     pool: &pool,
                 };
-                let results = run_items(&plan, &ctx, &items);
+                let results = run_items(&plan, &src, &delta, &items);
                 // New facts = (round output) \ (accumulated IDB): a galloping
                 // sorted-set difference, then one sorted-run merge per head.
                 let mut next_delta: Vec<IdbRelation> = self.empty_idbs();
@@ -587,8 +623,9 @@ impl Program {
 
 /// Round 0's work items for stratum `s`: every stratum-`s` rule with a
 /// seed order. Rules with a positive atom on a stratum-`s` IDB have none
-/// (see [`RulePlan::seed_order`]): that relation is still empty, so they
-/// would derive nothing; the delta rounds seed them once it has tuples.
+/// (see [`crate::plan::RulePlan::seed_order`]): that relation is still
+/// empty, so they would derive nothing; the delta rounds seed them once
+/// it has tuples.
 fn round0_items(plan: &ProgramPlan, rule_strata: &[usize], s: usize) -> Vec<WorkItem> {
     plan.rules
         .iter()
@@ -599,138 +636,48 @@ fn round0_items(plan: &ProgramPlan, rule_strata: &[usize], s: usize) -> Vec<Work
 }
 
 /// Run one round's work items in order and return each item's
-/// `(head IDB, derived tuples)`.
+/// `(head IDB, derived tuples)`. A delta item seeds its order with the
+/// delta of its delta atom's predicate.
 fn run_items(
     plan: &ProgramPlan,
-    ctx: &JoinCtx<'_>,
+    src: &EvalSource<'_>,
+    delta: &[IdbRelation],
     items: &[WorkItem],
 ) -> Vec<(usize, TupleStore)> {
     items
         .iter()
         .map(|&(ri, delta_atom)| {
             let rp = &plan.rules[ri];
+            let (steps, seeds) = match delta_atom {
+                None => (
+                    rp.seed_order
+                        .as_deref()
+                        .expect("round 0 runs only rules with a seed order"),
+                    None,
+                ),
+                Some(d) => {
+                    let PredRef::Idb(p) = rp.atoms[d].pred else {
+                        unreachable!("delta atoms are IDB atoms")
+                    };
+                    let steps = rp.delta_orders[d].as_deref();
+                    (
+                        steps.expect("delta atom is an IDB atom"),
+                        Some(delta[p].store()),
+                    )
+                }
+            };
             // Derivations land in the store's pending delta (no per-tuple
             // ordering work); one seal per item sorts and dedups them.
             let mut out = TupleStore::new(rp.head_args.len());
-            run_item(ctx, rp, delta_atom, &mut out);
+            let mut asg = vec![Elem(0); rp.var_count];
+            join(src, &rp.atoms, steps, seeds, &mut asg, &mut |asg| {
+                out.push_with(|buf| buf.extend(rp.head_args.iter().map(|&s| asg[s])));
+                true
+            });
             out.seal();
             (rp.head, out)
         })
         .collect()
-}
-
-/// Evaluate one work item: all satisfying substitutions of the rule along
-/// the precomputed join order for its seeding variant.
-fn run_item(ctx: &JoinCtx<'_>, rp: &RulePlan, delta_atom: Option<usize>, out: &mut TupleStore) {
-    let steps = match delta_atom {
-        None => rp
-            .seed_order
-            .as_ref()
-            .expect("round 0 runs only rules with a seed order"),
-        Some(d) => rp.delta_orders[d]
-            .as_ref()
-            .expect("delta atom is an IDB atom"),
-    };
-    let mut asg = vec![Elem(0); rp.var_count];
-    join(ctx, rp, steps, delta_atom, 0, &mut asg, out);
-}
-
-fn join(
-    ctx: &JoinCtx<'_>,
-    rp: &RulePlan,
-    steps: &[JoinStep],
-    delta_atom: Option<usize>,
-    depth: usize,
-    asg: &mut Vec<Elem>,
-    out: &mut TupleStore,
-) {
-    if depth == steps.len() {
-        // Duplicates are fine here: the item's seal dedups in one pass.
-        out.push_with(|buf| buf.extend(rp.head_args.iter().map(|&s| asg[s])));
-        return;
-    }
-    let step = &steps[depth];
-    let atom = &rp.atoms[step.atom];
-    if atom.negated {
-        // Negated guard: the plan schedules it only once every argument is
-        // bound, so the step is a single membership probe against the sealed
-        // relation — the point lookup of the sorted-store complement
-        // (`TupleStore::difference` restricted to one candidate). Negated
-        // IDB atoms live in strictly lower strata, whose deltas drained
-        // before this stratum started, so `ctx.idb` is their final value.
-        let key: Vec<Elem> = step.bound.iter().map(|&(_, s)| asg[s]).collect();
-        let present = match atom.pred {
-            PredRef::Edb(sym) => ctx.a.relation(sym).contains(&key),
-            PredRef::Idb(p) => ctx.idb[p].contains(&key),
-        };
-        if !present {
-            join(ctx, rp, steps, delta_atom, depth + 1, asg, out);
-        }
-        return;
-    }
-    if let Some(spec) = step.index {
-        // Hash probe on exactly the bound positions; candidates satisfy the
-        // bound equalities by construction of the key.
-        let key: Vec<Elem> = step.bound.iter().map(|&(_, s)| asg[s]).collect();
-        for t in ctx.pool.get(spec).probe(&key) {
-            advance(ctx, rp, steps, delta_atom, depth, asg, out, t, false);
-        }
-        return;
-    }
-    // Scan path: the whole relation (nothing bound, or this is the delta
-    // atom).
-    match atom.pred {
-        PredRef::Edb(sym) => {
-            for t in ctx.a.relation(sym).iter() {
-                advance(ctx, rp, steps, delta_atom, depth, asg, out, t, true);
-            }
-        }
-        PredRef::Idb(p) => {
-            let rel: &IdbRelation = if delta_atom == Some(step.atom) {
-                &ctx.delta[p]
-            } else {
-                &ctx.idb[p]
-            };
-            for t in rel.iter() {
-                advance(ctx, rp, steps, delta_atom, depth, asg, out, t, true);
-            }
-        }
-    }
-}
-
-/// Check one candidate tuple against the step's repeat (and, for scans,
-/// bound) constraints, bind its fresh variables, and recurse. No rollback
-/// is needed: the plan statically guarantees deeper steps only read slots
-/// bound on their prefix.
-#[allow(clippy::too_many_arguments)]
-fn advance<R: Row>(
-    ctx: &JoinCtx<'_>,
-    rp: &RulePlan,
-    steps: &[JoinStep],
-    delta_atom: Option<usize>,
-    depth: usize,
-    asg: &mut Vec<Elem>,
-    out: &mut TupleStore,
-    t: R,
-    check_bound: bool,
-) {
-    let step = &steps[depth];
-    if check_bound {
-        for &(i, s) in &step.bound {
-            if t.at(i) != asg[s] {
-                return;
-            }
-        }
-    }
-    for &(i, j) in &step.repeats {
-        if t.at(i) != t.at(j) {
-            return;
-        }
-    }
-    for &(i, s) in &step.binds {
-        asg[s] = t.at(i);
-    }
-    join(ctx, rp, steps, delta_atom, depth + 1, asg, out);
 }
 
 #[cfg(test)]

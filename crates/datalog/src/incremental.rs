@@ -21,9 +21,13 @@
 //! ([`crate::strongly_connected_components`], topologically ordered).
 //! Delta joins reuse the join-order machinery of [`crate::plan`] — each
 //! rule gets one seeded order per body occurrence plus a fully-prebound
-//! rederivation order — and probe
-//! persistent [`PermutedStore`] copies of the committed stores, which each
-//! batch updates by sorted-run merge and difference instead of rebuilding.
+//! rederivation order — and run through the evaluator's join executor
+//! ([`crate::join`]). Their row source reads each atom's committed
+//! relation through a [`View`] of it (post-update, pre-update, mid-DRed or
+//! stable). A probe on a prefix key reads the committed sealed store
+//! directly; a probe on any other key reads a persistent
+//! [`PermutedStore`] copy, which each batch updates by sorted-run merge
+//! and difference instead of rebuilding.
 //!
 //! Maintenance is budgeted and resumable under the same law as
 //! [`Program::resume_budgeted`]: the gauge is charged at SCC boundaries, an
@@ -36,14 +40,18 @@ use std::collections::HashMap;
 
 use hp_guard::{Budget, Budgeted, Gauge, GaugeState};
 use hp_structures::{
-    CountedStore, Elem, PermutedStore, Relation, RowRef, Structure, StructureError, SymbolId,
+    CountedStore, Elem, PermutedStore, Relation, Row, Structure, StructureError, SymbolId,
     TupleStore, Vocabulary,
 };
 
 use crate::ast::{PredRef, Program};
 use crate::eval::{EvalError, FixpointResult};
-use crate::plan::{plan_steps, plan_steps_prebound, AtomPlan, IndexSpec, JoinStep, RulePlan};
-use crate::strata::strongly_connected_components;
+use crate::index::{is_prefix, ProbeIter, ResolvedRow};
+use crate::join::{join, RowSource};
+use crate::plan::{
+    plan_steps, plan_steps_prebound, AtomPlan, IndexSpec, JoinStep, ProgramPlan, RulePlan,
+};
+use crate::strata::idb_components;
 
 // ---------------------------------------------------------------------------
 // Update batches
@@ -127,19 +135,15 @@ struct SccInfo {
     recursive: bool,
 }
 
-/// One rule, pre-planned for maintenance: the dense slotting of
-/// [`RulePlan`], plus one seeded join order per body occurrence (the
-/// signed-delta work items) and a fully head-prebound rederivation order.
+/// What maintenance adds to one rule's [`RulePlan`]: one seeded join order
+/// per body occurrence (the signed-delta work items) and a fully
+/// head-prebound rederivation order.
 #[derive(Clone, Debug)]
 struct MaintRule {
-    head: usize,
-    head_args: Vec<usize>,
     /// `(later, earlier)` head argument positions carrying the same
     /// variable: a concrete head tuple must agree on them before its slots
     /// can be prebound.
     head_repeats: Vec<(usize, usize)>,
-    var_count: usize,
-    atoms: Vec<AtomPlan>,
     /// Naive order over all atoms — used to (re)build derivation counts.
     full_order: Vec<JoinStep>,
     /// Order seeded by body occurrence `i` scanning a delta, one per atom.
@@ -152,7 +156,11 @@ struct MaintRule {
 /// Per-program maintenance metadata, built once per [`MaterializedDb`].
 #[derive(Clone, Debug)]
 struct MaintPlan {
-    rules: Vec<MaintRule>,
+    /// The evaluator's rule plans (head, dense slots, atoms), aligned with
+    /// [`Program::rules`].
+    rules: Vec<RulePlan>,
+    /// Maintenance orders, aligned with `rules`.
+    maint: Vec<MaintRule>,
     specs: Vec<IndexSpec>,
     rules_by_head: Vec<Vec<usize>>,
     /// Condensation of the IDB dependency graph, topologically ordered
@@ -165,93 +173,65 @@ struct MaintPlan {
 impl MaintPlan {
     fn new(p: &Program) -> MaintPlan {
         let n_idb = p.idbs().len();
+        let rules = ProgramPlan::new(p).rules;
         let mut specs: Vec<IndexSpec> = Vec::new();
-        let mut rules: Vec<MaintRule> = Vec::new();
         let mut rules_by_head: Vec<Vec<usize>> = vec![Vec::new(); n_idb];
-        for (ri, rule) in p.rules().iter().enumerate() {
-            // Reuse the dense slotting; the seed/delta orders interned into
-            // `throwaway` are not needed for maintenance.
-            let mut throwaway = Vec::new();
-            let rp = RulePlan::new(rule, p.strata(), &mut throwaway);
-            let mut head_repeats = Vec::new();
-            for (i, &s) in rp.head_args.iter().enumerate() {
-                if let Some(j) = rp.head_args[..i].iter().position(|&t| t == s) {
-                    head_repeats.push((i, j));
+        let maint = rules
+            .iter()
+            .enumerate()
+            .map(|(ri, rp)| {
+                rules_by_head[rp.head].push(ri);
+                let mut head_repeats = Vec::new();
+                for (i, &s) in rp.head_args.iter().enumerate() {
+                    if let Some(j) = rp.head_args[..i].iter().position(|&t| t == s) {
+                        head_repeats.push((i, j));
+                    }
                 }
-            }
-            let full_order = plan_steps(&rp.atoms, rp.var_count, None, &mut specs);
-            let seeded_orders = (0..rp.atoms.len())
-                .map(|ai| plan_steps(&rp.atoms, rp.var_count, Some(ai), &mut specs))
-                .collect();
-            let mut prebound = vec![false; rp.var_count];
-            for &s in &rp.head_args {
-                prebound[s] = true;
-            }
-            let rederive_order =
-                plan_steps_prebound(&rp.atoms, rp.var_count, &prebound, &mut specs);
-            rules_by_head[rp.head].push(ri);
-            rules.push(MaintRule {
-                head: rp.head,
-                head_args: rp.head_args,
-                head_repeats,
-                var_count: rp.var_count,
-                atoms: rp.atoms,
-                full_order,
-                seeded_orders,
-                rederive_order,
-            });
-        }
-        let (sccs, scc_of) = condense(&idb_dependencies(p));
+                let mut prebound = vec![false; rp.var_count];
+                for &s in &rp.head_args {
+                    prebound[s] = true;
+                }
+                MaintRule {
+                    head_repeats,
+                    full_order: plan_steps(&rp.atoms, rp.var_count, None, &mut specs),
+                    seeded_orders: (0..rp.atoms.len())
+                        .map(|ai| plan_steps(&rp.atoms, rp.var_count, Some(ai), &mut specs))
+                        .collect(),
+                    rederive_order: plan_steps_prebound(
+                        &rp.atoms,
+                        rp.var_count,
+                        &prebound,
+                        &mut specs,
+                    ),
+                }
+            })
+            .collect();
+        let mut scc_of = vec![0usize; n_idb];
+        let sccs = idb_components(p.rules(), n_idb)
+            .into_iter()
+            .enumerate()
+            .map(|(id, members)| {
+                for &m in &members {
+                    scc_of[m] = id;
+                }
+                let reads_itself = |m: usize| {
+                    rules.iter().any(|rp| {
+                        rp.head == m && rp.atoms.iter().any(|a| a.pred == PredRef::Idb(m))
+                    })
+                };
+                let recursive = members.len() > 1 || reads_itself(members[0]);
+                SccInfo { members, recursive }
+            })
+            .collect();
         MaintPlan {
             rules,
+            maint,
             specs,
             rules_by_head,
             sccs,
             scc_of,
         }
     }
-}
-
-/// Adjacency of the IDB dependency graph: an edge `b → h` for every rule
-/// with head `h` and an IDB body atom `b` (producers point at consumers).
-fn idb_dependencies(p: &Program) -> Vec<Vec<usize>> {
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); p.idbs().len()];
-    for rule in p.rules() {
-        let PredRef::Idb(h) = rule.head.pred else {
-            unreachable!("validated: rule heads are IDB atoms")
-        };
-        for atom in &rule.body {
-            if let PredRef::Idb(b) = atom.pred {
-                if !adj[b].contains(&h) {
-                    adj[b].push(h);
-                }
-            }
-        }
-    }
-    adj
-}
-
-/// Condense the IDB dependency graph (edges producer → consumer) into
-/// SCCs ordered producers first, which is exactly the order maintenance
-/// must process strata in.
-fn condense(adj: &[Vec<usize>]) -> (Vec<SccInfo>, Vec<usize>) {
-    // Tarjan emits consumers before their producers; reversed, producers
-    // come first.
-    let mut comps = strongly_connected_components(adj);
-    comps.reverse();
-    let mut scc_of = vec![0usize; adj.len()];
-    let sccs: Vec<SccInfo> = comps
-        .into_iter()
-        .enumerate()
-        .map(|(id, members)| {
-            for &m in &members {
-                scc_of[m] = id;
-            }
-            let recursive = members.len() > 1 || members.iter().any(|&m| adj[m].contains(&m));
-            SccInfo { members, recursive }
-        })
-        .collect();
-    (sccs, scc_of)
 }
 
 // ---------------------------------------------------------------------------
@@ -282,9 +262,11 @@ pub struct MaterializedDb {
     /// Monotone upper bound over every assigned depth; fresh and revived
     /// tuples get depths above it, keeping the invariant without renumbering.
     depth_clock: u64,
-    /// One persistent [`PermutedStore`] per [`MaintPlan`] index spec,
-    /// kept equal to the committed relation by batch merge/difference.
-    indexes: Vec<PermutedStore>,
+    /// One entry per [`MaintPlan`] index spec: a persistent
+    /// [`PermutedStore`] kept equal to the committed relation by batch
+    /// merge/difference, or `None` for a prefix-keyed spec, whose probes
+    /// read the committed store itself.
+    indexes: Vec<Option<PermutedStore>>,
     /// True while a budget-exhausted maintenance run awaits
     /// [`Program::resume_incremental`]; fresh updates are refused until
     /// then.
@@ -305,10 +287,9 @@ impl MaterializedDb {
                 detail: "structure vocabulary differs from the program's EDB".to_string(),
             });
         }
-        let full = program.evaluate(&structure);
+        let idb = program.evaluate(&structure).relations;
         let plan = MaintPlan::new(program);
-        let idb = full.relations;
-        let indexes: Vec<PermutedStore> = plan
+        let indexes = plan
             .specs
             .iter()
             .map(|spec| {
@@ -316,48 +297,39 @@ impl MaterializedDb {
                     PredRef::Edb(sym) => structure.relation(sym).store(),
                     PredRef::Idb(i) => idb[i].store(),
                 };
-                PermutedStore::build(committed, &spec.key_positions)
+                (!is_prefix(&spec.key_positions))
+                    .then(|| PermutedStore::build(committed, &spec.key_positions))
             })
             .collect();
-        let mut counts: Vec<Option<CountedStore>> = (0..idb.len()).map(|_| None).collect();
-        let mut depths: Vec<Option<DepthMap>> = (0..idb.len()).map(|_| None).collect();
-        let mut depth_clock = 0u64;
-        {
-            let deltas = Deltas::empty(program);
-            let ctx = Ctx {
-                plan: &plan,
-                structure: &structure,
-                idb: &idb,
-                indexes: &indexes,
-                deltas: &deltas,
-                overlay: None,
-                gate: None,
-            };
-            for (si, scc) in plan.sccs.iter().enumerate() {
-                if scc.recursive {
-                    depth_clock = depth_clock.max(build_depths(
-                        &ctx,
-                        si,
-                        |p| program.idbs()[p].1,
-                        &mut depths,
-                    ));
-                } else {
-                    let p = scc.members[0];
-                    counts[p] = Some(build_counts(&ctx, p, program.idbs()[p].1));
-                }
-            }
-        }
-        Ok(MaterializedDb {
+        let n_idb = idb.len();
+        let mut db = MaterializedDb {
             program: program.clone(),
             plan,
             structure,
             idb,
-            counts,
-            depths,
-            depth_clock,
+            counts: Vec::new(),
+            depths: Vec::new(),
+            depth_clock: 0,
             indexes,
             in_flight: false,
-        })
+        };
+        let deltas = Deltas::empty(program);
+        let ctx = db.ctx(&deltas, None, None);
+        let mut counts: Vec<Option<CountedStore>> = vec![None; n_idb];
+        let mut depths: Vec<Option<DepthMap>> = vec![None; n_idb];
+        let mut depth_clock = 0u64;
+        for (si, scc) in ctx.plan.sccs.iter().enumerate() {
+            if scc.recursive {
+                depth_clock = depth_clock.max(build_depths(&ctx, si, &mut depths));
+            } else {
+                let p = scc.members[0];
+                counts[p] = Some(build_counts(&ctx, p));
+            }
+        }
+        db.counts = counts;
+        db.depths = depths;
+        db.depth_clock = depth_clock;
+        Ok(db)
     }
 
     /// The current input structure (reflecting every committed batch).
@@ -381,34 +353,48 @@ impl MaterializedDb {
     pub fn is_in_flight(&self) -> bool {
         self.in_flight
     }
+
+    /// A join context over the committed state, reading per-predicate
+    /// deltas from `deltas` and, for the `Cur` view, the DRed `overlay`
+    /// filtered by the depth `gate`.
+    fn ctx<'a>(
+        &'a self,
+        deltas: &'a Deltas,
+        overlay: Option<Overlay<'a>>,
+        gate: Option<DepthGate<'a>>,
+    ) -> Ctx<'a> {
+        Ctx {
+            plan: &self.plan,
+            structure: &self.structure,
+            idb: &self.idb,
+            indexes: &self.indexes,
+            deltas,
+            overlay,
+            gate,
+        }
+    }
+
+    /// Keep every permuted copy of `pred` equal to its committed relation
+    /// after `removed` left it and `inserted` joined it.
+    fn update_indexes(&mut self, pred: PredRef, removed: &TupleStore, inserted: &TupleStore) {
+        for (spec, index) in self.plan.specs.iter().zip(&mut self.indexes) {
+            if let Some(index) = index.as_mut().filter(|_| spec.pred == pred) {
+                index.remove_rows(removed);
+                index.insert_rows(inserted);
+            }
+        }
+    }
 }
 
 /// Rebuild the derivation counts for non-recursive IDB `p` from the
 /// committed relations: one full (all-`New`) enumeration per rule, one
 /// count unit per satisfying assignment.
-fn build_counts(ctx: &Ctx<'_>, p: usize, arity: usize) -> CountedStore {
-    let mut cs = CountedStore::new(arity);
-    let mut head = Vec::with_capacity(arity);
+fn build_counts(ctx: &Ctx<'_>, p: usize) -> CountedStore {
+    let mut cs = CountedStore::new(ctx.idb[p].arity());
     for &ri in &ctx.plan.rules_by_head[p] {
-        let mr = &ctx.plan.rules[ri];
-        let views = vec![View::New; mr.atoms.len()];
-        let mut asg = vec![Elem(0); mr.var_count];
-        let mut scratch = Vec::new();
-        mjoin(
-            ctx,
-            mr,
-            &mr.full_order,
-            &views,
-            0,
-            &mut asg,
-            &mut scratch,
-            &mut |a| {
-                head.clear();
-                head.extend(mr.head_args.iter().map(|&s| a[s]));
-                cs.push(&head, 1);
-                true
-            },
-        );
+        let views = vec![View::New; ctx.plan.rules[ri].atoms.len()];
+        let steps = &ctx.plan.maint[ri].full_order;
+        ctx.derive(ri, steps, &views, None, |head| cs.push(head, 1));
     }
     let delta = cs.apply();
     debug_assert!(delta.removed.is_empty());
@@ -421,92 +407,54 @@ fn build_counts(ctx: &Ctx<'_>, p: usize, arity: usize) -> CountedStore {
 /// tuples derive from stage-`< r` members (read as `Cur` through a
 /// shadow-everything / reveal-known overlay) and committed externals.
 /// Returns the number of stages, an upper bound on every assigned depth.
-fn build_depths(
-    ctx: &Ctx<'_>,
-    scc: usize,
-    arity_of: impl Fn(usize) -> usize,
-    depths: &mut [Option<DepthMap>],
-) -> u64 {
+fn build_depths(ctx: &Ctx<'_>, scc: usize, depths: &mut [Option<DepthMap>]) -> u64 {
     let members = &ctx.plan.sccs[scc].members;
-    let n_idb = ctx.idb.len();
-    let removed: Vec<TupleStore> = (0..n_idb)
+    let empty_stores =
+        || -> Vec<TupleStore> { ctx.idb.iter().map(|r| TupleStore::new(r.arity())).collect() };
+    let removed: Vec<TupleStore> = (0..ctx.idb.len())
         .map(|p| {
             if is_member(ctx.plan, PredRef::Idb(p), scc) {
                 ctx.idb[p].store().clone()
             } else {
-                TupleStore::new(arity_of(p))
+                TupleStore::new(ctx.idb[p].arity())
             }
         })
         .collect();
-    let mut known: Vec<Relation> = (0..n_idb).map(|p| Relation::new(arity_of(p))).collect();
-    let added: Vec<Relation> = (0..n_idb).map(|p| Relation::new(arity_of(p))).collect();
-    let mut frontier: Vec<TupleStore> = (0..n_idb).map(|p| TupleStore::new(arity_of(p))).collect();
+    let mut known: Vec<Relation> = ctx.idb.iter().map(|r| Relation::new(r.arity())).collect();
+    let added: Vec<Relation> = known.clone();
+    let mut frontier = empty_stores();
     for &p in members {
         depths[p] = Some(DepthMap::new());
     }
     let mut round = 0u64;
     loop {
         round += 1;
-        let mut cand: Vec<TupleStore> = (0..n_idb).map(|p| TupleStore::new(arity_of(p))).collect();
-        {
-            let rctx = Ctx {
-                plan: ctx.plan,
-                structure: ctx.structure,
-                idb: ctx.idb,
-                indexes: ctx.indexes,
-                deltas: ctx.deltas,
-                overlay: Some(Overlay {
-                    removed: &removed,
-                    revived: &known,
-                    added: &added,
-                }),
-                gate: None,
-            };
-            for &p in members {
-                for &ri in &ctx.plan.rules_by_head[p] {
-                    let mr = &ctx.plan.rules[ri];
-                    let views = scc_views(ctx.plan, mr, scc, View::New);
-                    let mut head = Vec::with_capacity(arity_of(p));
-                    if round == 1 {
-                        let mut asg = vec![Elem(0); mr.var_count];
-                        let mut scratch = Vec::new();
-                        mjoin(
-                            &rctx,
-                            mr,
-                            &mr.full_order,
-                            &views,
-                            0,
-                            &mut asg,
-                            &mut scratch,
-                            &mut |a| {
-                                head.clear();
-                                head.extend(mr.head_args.iter().map(|&s| a[s]));
-                                cand[p].push(&head);
-                                true
-                            },
-                        );
-                    } else {
-                        for ai in 0..mr.atoms.len() {
-                            let PredRef::Idb(q) = mr.atoms[ai].pred else {
-                                continue;
-                            };
-                            if ctx.plan.scc_of[q] != scc || frontier[q].is_empty() {
-                                continue;
-                            }
-                            run_seeded(
-                                &rctx,
-                                mr,
-                                &mr.seeded_orders[ai],
-                                &views,
-                                &frontier[q],
-                                &mut |asg| {
-                                    head.clear();
-                                    head.extend(mr.head_args.iter().map(|&s| asg[s]));
-                                    cand[p].push(&head);
-                                    true
-                                },
-                            );
-                        }
+        let mut cand = empty_stores();
+        let rctx = Ctx {
+            overlay: Some(Overlay {
+                removed: &removed,
+                revived: &known,
+                added: &added,
+            }),
+            ..*ctx
+        };
+        for &p in members {
+            for &ri in &ctx.plan.rules_by_head[p] {
+                let (rp, mr) = (&ctx.plan.rules[ri], &ctx.plan.maint[ri]);
+                let views = scc_views(ctx.plan, rp, scc, View::New);
+                if round == 1 {
+                    rctx.derive(ri, &mr.full_order, &views, None, |head| cand[p].push(head));
+                    continue;
+                }
+                for (ai, atom) in rp.atoms.iter().enumerate() {
+                    let PredRef::Idb(q) = atom.pred else {
+                        continue;
+                    };
+                    if ctx.plan.scc_of[q] == scc && !frontier[q].is_empty() {
+                        let steps = &mr.seeded_orders[ai];
+                        rctx.derive(ri, steps, &views, Some(&frontier[q]), |head| {
+                            cand[p].push(head)
+                        });
                     }
                 }
             }
@@ -553,10 +501,7 @@ fn build_depths(
 #[derive(Clone, Debug)]
 pub struct IncCheckpoint {
     next_scc: usize,
-    edb_plus: Vec<TupleStore>,
-    edb_minus: Vec<TupleStore>,
-    idb_plus: Vec<TupleStore>,
-    idb_minus: Vec<TupleStore>,
+    deltas: Deltas,
     stages: usize,
     fuel: GaugeState,
 }
@@ -614,6 +559,7 @@ type DepthMap = HashMap<Box<[Elem]>, u64>;
 /// propagate strictly depth-upward, so a kept tuple's witness can only be
 /// invalidated by a later kill that re-triggers its examination — no
 /// under-deletion.
+#[derive(Clone, Copy)]
 struct DepthGate<'a> {
     depths: &'a [Option<DepthMap>],
     limit: u64,
@@ -629,16 +575,12 @@ impl DepthGate<'_> {
             .and_then(|m| m.get(t))
             .is_some_and(|&d| d < self.limit)
     }
-
-    /// [`DepthGate::admits`] for a decoded store row.
-    fn admits_row(&self, p: usize, t: RowRef<'_>) -> bool {
-        self.admits(p, &t.to_vec())
-    }
 }
 
 /// Per-predicate effective deltas of one maintenance run: what actually
 /// changed in the EDB, and what each already-processed stratum's
 /// maintenance changed in its IDB.
+#[derive(Clone, Debug)]
 struct Deltas {
     edb_plus: Vec<TupleStore>,
     edb_minus: Vec<TupleStore>,
@@ -680,6 +622,7 @@ impl Deltas {
 /// The in-progress DRed state of one recursive SCC, overlaid on the
 /// committed relations to form the `Cur` view. All three vectors are
 /// indexed by IDB id; non-members stay empty.
+#[derive(Clone, Copy)]
 struct Overlay<'a> {
     /// The deletion over-approximation `D`.
     removed: &'a [TupleStore],
@@ -690,11 +633,12 @@ struct Overlay<'a> {
 }
 
 /// Shared read-only state for one maintenance round's join items.
+#[derive(Clone, Copy)]
 struct Ctx<'a> {
     plan: &'a MaintPlan,
     structure: &'a Structure,
     idb: &'a [Relation],
-    indexes: &'a [PermutedStore],
+    indexes: &'a [Option<PermutedStore>],
     deltas: &'a Deltas,
     overlay: Option<Overlay<'a>>,
     gate: Option<DepthGate<'a>>,
@@ -707,342 +651,168 @@ impl Ctx<'_> {
             PredRef::Idb(i) => self.idb[i].store(),
         }
     }
+
+    /// Walk rule `ri` along `steps` with its atoms read in `views`
+    /// (`seeds`, when given, scanned as step 0) and call `emit` per
+    /// complete assignment. Returns `false` iff `emit` stopped the walk.
+    fn join(
+        &self,
+        ri: usize,
+        steps: &[JoinStep],
+        views: &[View],
+        seeds: Option<&TupleStore>,
+        asg: &mut [Elem],
+        emit: &mut impl FnMut(&[Elem]) -> bool,
+    ) -> bool {
+        let src = ViewSource { ctx: self, views };
+        join(&src, &self.plan.rules[ri].atoms, steps, seeds, asg, emit)
+    }
+
+    /// [`Ctx::join`] from empty slots, calling `f` with the head tuple of
+    /// every satisfying assignment.
+    fn derive(
+        &self,
+        ri: usize,
+        steps: &[JoinStep],
+        views: &[View],
+        seeds: Option<&TupleStore>,
+        mut f: impl FnMut(&[Elem]),
+    ) {
+        let rp = &self.plan.rules[ri];
+        let mut asg = vec![Elem(0); rp.var_count];
+        let mut head = Vec::with_capacity(rp.head_args.len());
+        self.join(ri, steps, views, seeds, &mut asg, &mut |asg| {
+            head.clear();
+            head.extend(rp.head_args.iter().map(|&s| asg[s]));
+            f(&head);
+            true
+        });
+    }
 }
 
-/// A candidate row for one join step: either an original-order store row
-/// (from a delta or overlay scan) or a permuted secondary-index row read
-/// through the index's position map.
-#[derive(Clone, Copy)]
-struct Cand<'t> {
-    row: RowRef<'t>,
-    map: Option<&'t [usize]>,
+/// The maintenance rows of one rule: each atom reads the committed
+/// relation (a prefix probe or scan of its sealed store, or a probe of its
+/// permuted copy) through the view the rule's item assigns it. A view
+/// takes rows out of the committed state and adds extra ones:
+///
+/// | view     | excluded              | extra   | depth gate |
+/// |----------|-----------------------|---------|------------|
+/// | `New`    | —                     | —       | —          |
+/// | `Old`    | `plus`                | `minus` | —          |
+/// | `Stable` | `plus`                | —       | —          |
+/// | `Cur`    | `removed ∖ revived`   | `added` | when set   |
+struct ViewSource<'a> {
+    ctx: &'a Ctx<'a>,
+    views: &'a [View],
 }
 
-impl Cand<'_> {
-    #[inline]
-    fn at(&self, i: usize) -> Elem {
-        match self.map {
-            Some(m) => self.row.get(m[i]),
-            None => self.row.get(i),
-        }
-    }
-}
-
-/// Check a candidate against step `depth` and, on a match, bind its fresh
-/// slots and recurse. Returns `false` iff `emit` asked to stop.
-#[allow(clippy::too_many_arguments)]
-fn accept(
-    ctx: &Ctx<'_>,
-    mr: &MaintRule,
-    steps: &[JoinStep],
-    views: &[View],
-    depth: usize,
-    asg: &mut [Elem],
-    scratch: &mut Vec<Elem>,
-    emit: &mut dyn FnMut(&[Elem]) -> bool,
-    cand: Cand<'_>,
-    check_bound: bool,
-) -> bool {
-    let step = &steps[depth];
-    if check_bound {
-        for &(i, s) in &step.bound {
-            if cand.at(i) != asg[s] {
-                return true;
-            }
-        }
-    }
-    for &(i, j) in &step.repeats {
-        if cand.at(i) != cand.at(j) {
-            return true;
-        }
-    }
-    for &(i, s) in &step.binds {
-        asg[s] = cand.at(i);
-    }
-    mjoin(ctx, mr, steps, views, depth + 1, asg, scratch, emit)
-}
-
-/// The maintenance join core: enumerate every extension of `asg` through
-/// `steps[depth..]`, reading each atom in the state its [`View`] names, and
-/// call `emit` per complete assignment. Returns `false` iff `emit` stopped
-/// the enumeration.
-#[allow(clippy::too_many_arguments)]
-fn mjoin(
-    ctx: &Ctx<'_>,
-    mr: &MaintRule,
-    steps: &[JoinStep],
-    views: &[View],
-    depth: usize,
-    asg: &mut [Elem],
-    scratch: &mut Vec<Elem>,
-    emit: &mut dyn FnMut(&[Elem]) -> bool,
-) -> bool {
-    if depth == steps.len() {
-        return emit(asg);
-    }
-    let step = &steps[depth];
-    let atom = &mr.atoms[step.atom];
-    let view = views[step.atom];
-    if let Some(si) = step.index {
-        let sidx = &ctx.indexes[si];
-        let mut key: Vec<Elem> = Vec::with_capacity(step.bound.len());
-        key.extend(step.bound.iter().map(|&(_, s)| asg[s]));
-        let range = sidx.probe(&key);
-        let map = Some(sidx.pos_of());
-        match view {
-            View::New => {
-                for r in range {
-                    let cand = Cand {
-                        row: sidx.store().row(r),
-                        map,
-                    };
-                    if !accept(
-                        ctx, mr, steps, views, depth, asg, scratch, emit, cand, false,
-                    ) {
-                        return false;
-                    }
-                }
-            }
-            View::Old => {
-                let plus = ctx.deltas.plus(atom.pred);
-                for r in range {
-                    let row = sidx.store().row(r);
-                    if !plus.is_empty() {
-                        sidx.unpermute_into(row, scratch);
-                        if plus.contains(scratch.as_slice()) {
-                            continue;
-                        }
-                    }
-                    let cand = Cand { row, map };
-                    if !accept(
-                        ctx, mr, steps, views, depth, asg, scratch, emit, cand, false,
-                    ) {
-                        return false;
-                    }
-                }
-                for t in ctx.deltas.minus(atom.pred).iter() {
-                    let cand = Cand { row: t, map: None };
-                    if !accept(ctx, mr, steps, views, depth, asg, scratch, emit, cand, true) {
-                        return false;
-                    }
-                }
-            }
+impl RowSource for ViewSource<'_> {
+    fn rows<F: FnMut(ResolvedRow<'_>) -> bool>(
+        &self,
+        step: &JoinStep,
+        atom: &AtomPlan,
+        key: &[Elem],
+        mut visit: F,
+    ) -> bool {
+        let ctx = self.ctx;
+        let pred = atom.pred;
+        let committed = ctx.committed(pred);
+        let rows = match step.index {
+            None => ProbeIter::scan(committed),
+            Some(si) => match &ctx.indexes[si] {
+                Some(copy) => ProbeIter::permuted(copy, key),
+                None => ProbeIter::prefix(committed, key),
+            },
+        };
+        let (excluded, kept, extra, gate) = match self.views[step.atom] {
+            View::New => (None, None, None, None),
+            View::Old => (
+                Some(ctx.deltas.plus(pred)),
+                None,
+                Some(ctx.deltas.minus(pred)),
+                None,
+            ),
+            View::Stable => (Some(ctx.deltas.plus(pred)), None, None, None),
             View::Cur => {
-                let ov = ctx.overlay.as_ref().expect("Cur view requires an overlay");
-                let PredRef::Idb(p) = atom.pred else {
+                let ov = ctx.overlay.expect("Cur view requires an overlay");
+                let PredRef::Idb(p) = pred else {
                     unreachable!("Cur views are only assigned to SCC members")
                 };
-                for r in range {
-                    let row = sidx.store().row(r);
-                    if !ov.removed[p].is_empty() || ctx.gate.is_some() {
-                        sidx.unpermute_into(row, scratch);
-                        if !ov.removed[p].is_empty()
-                            && ov.removed[p].contains(scratch.as_slice())
-                            && !ov.revived[p].contains(scratch.as_slice())
-                        {
-                            continue;
-                        }
-                        if let Some(g) = &ctx.gate {
-                            if !g.admits(p, scratch) {
-                                continue;
-                            }
-                        }
-                    }
-                    let cand = Cand { row, map };
-                    if !accept(
-                        ctx, mr, steps, views, depth, asg, scratch, emit, cand, false,
-                    ) {
-                        return false;
-                    }
-                }
-                for t in ov.added[p].iter() {
-                    if ctx.gate.as_ref().is_some_and(|g| !g.admits_row(p, t)) {
-                        continue;
-                    }
-                    let cand = Cand { row: t, map: None };
-                    if !accept(ctx, mr, steps, views, depth, asg, scratch, emit, cand, true) {
-                        return false;
-                    }
-                }
+                (
+                    Some(&ov.removed[p]),
+                    Some(ov.revived[p].store()),
+                    Some(ov.added[p].store()),
+                    ctx.gate.map(|g| (g, p)),
+                )
             }
-            View::Stable => {
-                let plus = ctx.deltas.plus(atom.pred);
-                for r in range {
-                    let row = sidx.store().row(r);
-                    if !plus.is_empty() {
-                        sidx.unpermute_into(row, scratch);
-                        if plus.contains(scratch.as_slice()) {
-                            continue;
-                        }
-                    }
-                    let cand = Cand { row, map };
-                    if !accept(
-                        ctx, mr, steps, views, depth, asg, scratch, emit, cand, false,
-                    ) {
-                        return false;
-                    }
-                }
+        };
+        let excluded = excluded.filter(|x| !x.is_empty());
+        let mut scratch = Vec::new();
+        let mut admitted = |t: ResolvedRow<'_>| match gate {
+            None => true,
+            Some((g, p)) => {
+                scratch.clear();
+                t.append_to(&mut scratch);
+                g.admits(p, &scratch)
+            }
+        };
+        for t in rows {
+            if excluded.is_some_and(|x| x.contains(t) && !kept.is_some_and(|k| k.contains(t))) {
+                continue;
+            }
+            if admitted(t) && !visit(t) {
+                return false;
             }
         }
-    } else {
-        // Unindexed step: scan the whole view, checking any bound positions
-        // per candidate.
-        match view {
-            View::New => {
-                for t in ctx.committed(atom.pred).iter() {
-                    let cand = Cand { row: t, map: None };
-                    if !accept(ctx, mr, steps, views, depth, asg, scratch, emit, cand, true) {
-                        return false;
-                    }
-                }
-            }
-            View::Old => {
-                let plus = ctx.deltas.plus(atom.pred);
-                for t in ctx.committed(atom.pred).iter() {
-                    if !plus.is_empty() && plus.contains(t) {
-                        continue;
-                    }
-                    let cand = Cand { row: t, map: None };
-                    if !accept(ctx, mr, steps, views, depth, asg, scratch, emit, cand, true) {
-                        return false;
-                    }
-                }
-                for t in ctx.deltas.minus(atom.pred).iter() {
-                    let cand = Cand { row: t, map: None };
-                    if !accept(ctx, mr, steps, views, depth, asg, scratch, emit, cand, true) {
-                        return false;
-                    }
-                }
-            }
-            View::Cur => {
-                let ov = ctx.overlay.as_ref().expect("Cur view requires an overlay");
-                let PredRef::Idb(p) = atom.pred else {
-                    unreachable!("Cur views are only assigned to SCC members")
-                };
-                for t in ctx.committed(atom.pred).iter() {
-                    if !ov.removed[p].is_empty()
-                        && ov.removed[p].contains(t)
-                        && !ov.revived[p].contains(t)
-                    {
-                        continue;
-                    }
-                    if ctx.gate.as_ref().is_some_and(|g| !g.admits_row(p, t)) {
-                        continue;
-                    }
-                    let cand = Cand { row: t, map: None };
-                    if !accept(ctx, mr, steps, views, depth, asg, scratch, emit, cand, true) {
-                        return false;
-                    }
-                }
-                for t in ov.added[p].iter() {
-                    if ctx.gate.as_ref().is_some_and(|g| !g.admits_row(p, t)) {
-                        continue;
-                    }
-                    let cand = Cand { row: t, map: None };
-                    if !accept(ctx, mr, steps, views, depth, asg, scratch, emit, cand, true) {
-                        return false;
-                    }
-                }
-            }
-            View::Stable => {
-                let plus = ctx.deltas.plus(atom.pred);
-                for t in ctx.committed(atom.pred).iter() {
-                    if !plus.is_empty() && plus.contains(t) {
-                        continue;
-                    }
-                    let cand = Cand { row: t, map: None };
-                    if !accept(ctx, mr, steps, views, depth, asg, scratch, emit, cand, true) {
-                        return false;
-                    }
-                }
-            }
-        }
+        let matches_key =
+            |t: ResolvedRow<'_>| step.bound.iter().zip(key).all(|(&(i, _), &k)| t.at(i) == k);
+        extra
+            .into_iter()
+            .flat_map(|x| x.iter().map(ResolvedRow::Direct))
+            .all(|t| !matches_key(t) || !admitted(t) || visit(t))
     }
-    true
-}
 
-/// Run one seeded join item: scan `seeds` as the delta occupying
-/// `steps[0]`, extend through the remaining steps, and call `emit` per
-/// satisfying assignment.
-fn run_seeded(
-    ctx: &Ctx<'_>,
-    mr: &MaintRule,
-    steps: &[JoinStep],
-    views: &[View],
-    seeds: &TupleStore,
-    emit: &mut dyn FnMut(&[Elem]) -> bool,
-) {
-    let step0 = &steps[0];
-    debug_assert!(step0.bound.is_empty(), "seed step binds first");
-    let mut asg = vec![Elem(0); mr.var_count];
-    let mut scratch = Vec::new();
-    'seeds: for t in seeds.iter() {
-        for &(i, j) in &step0.repeats {
-            if t[i] != t[j] {
-                continue 'seeds;
-            }
-        }
-        for &(i, s) in &step0.binds {
-            asg[s] = t.get(i);
-        }
-        if !mjoin(ctx, mr, steps, views, 1, &mut asg, &mut scratch, emit) {
-            return;
-        }
+    fn contains(&self, _: &AtomPlan, _: &[Elem]) -> bool {
+        unreachable!("materialized databases refuse programs with negation")
     }
 }
 
 /// True when the over-deleted head tuple `t` of IDB `p` has a surviving
 /// derivation: some rule body matches with SCC members read as `Cur`
-/// (excluding `t` itself unless revived) and everything else as `New`.
-fn rederives(ctx: &Ctx<'_>, scc: usize, p: usize, t: &[Elem]) -> bool {
-    rederives_with(ctx, scc, p, t, View::New)
-}
-
-/// As [`rederives`], reading non-member atoms in the given view. The
-/// deletion-phase support check passes [`View::Stable`] (and sets the
-/// context's depth gate), so its witnesses use only pre-existing external
-/// tuples and strictly shallower members.
-fn rederives_with(ctx: &Ctx<'_>, scc: usize, p: usize, t: &[Elem], external: View) -> bool {
-    for &ri in &ctx.plan.rules_by_head[p] {
-        let mr = &ctx.plan.rules[ri];
+/// (excluding `t` itself unless revived) and everything else as
+/// `external`. The deletion-phase support check passes [`View::Stable`]
+/// (and sets the context's depth gate), so its witnesses use only
+/// pre-existing external tuples and strictly shallower members; the
+/// revival phase passes [`View::New`].
+fn rederives(ctx: &Ctx<'_>, scc: usize, p: usize, t: &[Elem], external: View) -> bool {
+    ctx.plan.rules_by_head[p].iter().any(|&ri| {
+        let (rp, mr) = (&ctx.plan.rules[ri], &ctx.plan.maint[ri]);
         if mr.head_repeats.iter().any(|&(i, j)| t[i] != t[j]) {
-            continue;
+            return false;
         }
-        let views = scc_views(ctx.plan, mr, scc, external);
-        let mut asg = vec![Elem(0); mr.var_count];
-        for (i, &s) in mr.head_args.iter().enumerate() {
+        let views = scc_views(ctx.plan, rp, scc, external);
+        let mut asg = vec![Elem(0); rp.var_count];
+        for (i, &s) in rp.head_args.iter().enumerate() {
             asg[s] = t[i];
         }
-        let mut found = false;
-        let mut scratch = Vec::new();
-        mjoin(
-            ctx,
-            mr,
-            &mr.rederive_order,
-            &views,
-            0,
-            &mut asg,
-            &mut scratch,
-            &mut |_| {
-                found = true;
-                false
-            },
-        );
-        if found {
-            return true;
-        }
-    }
-    false
+        // The walk stops at the first witness.
+        !ctx.join(ri, &mr.rederive_order, &views, None, &mut asg, &mut |_| {
+            false
+        })
+    })
 }
 
 /// Views for a rule during DRed: SCC members read `Cur`, everything else
 /// reads `external`.
-fn scc_views(plan: &MaintPlan, mr: &MaintRule, scc: usize, external: View) -> Vec<View> {
-    mr.atoms
+fn scc_views(plan: &MaintPlan, rp: &RulePlan, scc: usize, external: View) -> Vec<View> {
+    rp.atoms
         .iter()
-        .map(|a| match a.pred {
-            PredRef::Idb(q) if plan.scc_of[q] == scc => View::Cur,
-            _ => external,
+        .map(|a| {
+            if is_member(plan, a.pred, scc) {
+                View::Cur
+            } else {
+                external
+            }
         })
         .collect()
 }
@@ -1092,30 +862,61 @@ fn commit_edb(
         if plus_sealed[i].is_empty() && minus_sealed[i].is_empty() {
             continue;
         }
-        let (eff_plus, eff_minus) = {
-            let committed = db.structure.relation(sym).store();
-            // Insertions win over same-batch deletions; already-present
-            // insertions and absent deletions are no-ops.
-            let eff_plus = plus_sealed[i].difference(committed);
-            let eff_minus = minus_sealed[i]
-                .difference(&plus_sealed[i])
-                .intersection(committed);
-            (eff_plus, eff_minus)
-        };
+        let committed = db.structure.relation(sym).store();
+        // Insertions win over same-batch deletions; already-present
+        // insertions and absent deletions are no-ops.
+        let eff_plus = plus_sealed[i].difference(committed);
+        let eff_minus = minus_sealed[i]
+            .difference(&plus_sealed[i])
+            .intersection(committed);
         db.structure
             .extend_tuples(sym, eff_plus.iter())
             .map_err(EvalError::Structure)?;
         db.structure.remove_tuples(sym, &eff_minus);
-        for (si, spec) in db.plan.specs.iter().enumerate() {
-            if spec.pred == PredRef::Edb(sym) {
-                db.indexes[si].remove_rows(&eff_minus);
-                db.indexes[si].insert_rows(&eff_plus);
-            }
-        }
+        db.update_indexes(PredRef::Edb(sym), &eff_minus, &eff_plus);
         deltas.edb_plus[i] = eff_plus;
         deltas.edb_minus[i] = eff_minus;
     }
     Ok(deltas)
+}
+
+impl MaterializedDb {
+    /// Commit one stratum's change to IDB `p` (the two sets are disjoint)
+    /// and record it as `p`'s delta for the consumers downstream.
+    fn commit_idb(
+        &mut self,
+        deltas: &mut Deltas,
+        p: usize,
+        removed: TupleStore,
+        inserted: TupleStore,
+    ) {
+        self.idb[p].remove_tuples(&removed);
+        self.idb[p].merge_store(&inserted);
+        self.update_indexes(PredRef::Idb(p), &removed, &inserted);
+        deltas.idb_minus[p] = removed;
+        deltas.idb_plus[p] = inserted;
+    }
+}
+
+/// The seeded work items over the rules of `members`: every
+/// `(rule, body occurrence, seed rows)` for which `seeds_of` names
+/// non-empty seed rows for the occurrence's predicate.
+fn seeded_items<'s>(
+    plan: &MaintPlan,
+    members: &[usize],
+    seeds_of: impl Fn(PredRef) -> Option<&'s TupleStore>,
+) -> Vec<(usize, usize, &'s TupleStore)> {
+    let mut items = Vec::new();
+    for &p in members {
+        for &ri in &plan.rules_by_head[p] {
+            for (ai, atom) in plan.rules[ri].atoms.iter().enumerate() {
+                if let Some(seeds) = seeds_of(atom.pred).filter(|s| !s.is_empty()) {
+                    items.push((ri, ai, seeds));
+                }
+            }
+        }
+    }
+    items
 }
 
 /// Maintain one non-recursive singleton stratum by counting: one signed,
@@ -1123,89 +924,52 @@ fn commit_edb(
 /// delta, folded into the stratum's [`CountedStore`]. Returns
 /// `(rounds, changed_tuples)`.
 fn counting_scc(db: &mut MaterializedDb, deltas: &mut Deltas, p: usize) -> (usize, usize) {
-    let arity = db.idb[p].arity();
-    let mut items: Vec<(usize, usize)> = Vec::new();
-    for &ri in &db.plan.rules_by_head[p] {
-        let mr = &db.plan.rules[ri];
-        for ai in 0..mr.atoms.len() {
-            let pred = mr.atoms[ai].pred;
-            if !deltas.plus(pred).is_empty() || !deltas.minus(pred).is_empty() {
-                items.push((ri, ai));
+    let mut pending = CountedStore::new(db.idb[p].arity());
+    {
+        let d: &Deltas = deltas;
+        let minus = seeded_items(&db.plan, &[p], |pred| Some(d.minus(pred)));
+        let plus = seeded_items(&db.plan, &[p], |pred| Some(d.plus(pred)));
+        if minus.is_empty() && plus.is_empty() {
+            return (0, 0);
+        }
+        let ctx = db.ctx(d, None, None);
+        for (items, sign) in [(minus, -1i64), (plus, 1)] {
+            for (ri, ai, seeds) in items {
+                // Telescoped views: occurrences before the seed read the
+                // post-update state, occurrences after it the pre-update
+                // state, so summing the signed items is exactly New − Old
+                // at the derivation-count level.
+                let views: Vec<View> = (0..ctx.plan.rules[ri].atoms.len())
+                    .map(|j| if j < ai { View::New } else { View::Old })
+                    .collect();
+                let steps = &ctx.plan.maint[ri].seeded_orders[ai];
+                ctx.derive(ri, steps, &views, Some(seeds), |head| {
+                    pending.push(head, sign)
+                });
             }
         }
     }
-    if items.is_empty() {
-        return (0, 0);
-    }
-    let stores: Vec<CountedStore> = {
-        let ctx = Ctx {
-            plan: &db.plan,
-            structure: &db.structure,
-            idb: &db.idb,
-            indexes: &db.indexes,
-            deltas,
-            overlay: None,
-            gate: None,
-        };
-        items
-            .iter()
-            .map(|&(ri, ai)| {
-                let mr = &ctx.plan.rules[ri];
-                // Telescoped views: occurrences before the seed read the
-                // post-update state, occurrences after it the pre-update state,
-                // so summing the signed items is exactly New − Old at the
-                // derivation-count level.
-                let views: Vec<View> = (0..mr.atoms.len())
-                    .map(|j| if j < ai { View::New } else { View::Old })
-                    .collect();
-                let steps = &mr.seeded_orders[ai];
-                let pred = mr.atoms[ai].pred;
-                let mut out = CountedStore::new(arity);
-                let mut head = Vec::with_capacity(arity);
-                for (seeds, sign) in [(ctx.deltas.minus(pred), -1i64), (ctx.deltas.plus(pred), 1)] {
-                    run_seeded(&ctx, mr, steps, &views, seeds, &mut |asg| {
-                        head.clear();
-                        head.extend(mr.head_args.iter().map(|&s| asg[s]));
-                        out.push(&head, sign);
-                        true
-                    });
-                }
-                out
-            })
-            .collect()
-    };
     let counts = db.counts[p]
         .as_mut()
         .expect("non-recursive strata carry counts");
-    for s in stores {
-        counts.absorb_pending(s);
-    }
+    counts.absorb_pending(pending);
     let delta = counts.apply();
     let changed = delta.inserted.len() + delta.removed.len();
-    db.idb[p].remove_tuples(&delta.removed);
-    db.idb[p].merge_store(&delta.inserted);
-    for (si, spec) in db.plan.specs.iter().enumerate() {
-        if spec.pred == PredRef::Idb(p) {
-            db.indexes[si].remove_rows(&delta.removed);
-            db.indexes[si].insert_rows(&delta.inserted);
-        }
-    }
-    deltas.idb_minus[p] = delta.removed;
-    deltas.idb_plus[p] = delta.inserted;
+    db.commit_idb(deltas, p, delta.removed, delta.inserted);
     (1, changed)
 }
 
 /// Maintain one recursive SCC by DRed. Returns `(rounds, changed_tuples)`.
 fn dred_scc(db: &mut MaterializedDb, deltas: &mut Deltas, scc: usize) -> (usize, usize) {
-    let n_idb = db.idb.len();
     let members: Vec<usize> = db.plan.sccs[scc].members.clone();
-    let arity_of = |p: usize| db.idb[p].arity();
-    let mut removed: Vec<TupleStore> = (0..n_idb).map(|p| TupleStore::new(arity_of(p))).collect();
-    let mut revived: Vec<Relation> = (0..n_idb).map(|p| Relation::new(arity_of(p))).collect();
-    let mut added: Vec<Relation> = (0..n_idb).map(|p| Relation::new(arity_of(p))).collect();
+    let arities: Vec<usize> = db.idb.iter().map(Relation::arity).collect();
+    let empty_stores =
+        || -> Vec<TupleStore> { arities.iter().map(|&a| TupleStore::new(a)).collect() };
+    let mut removed = empty_stores();
+    let mut revived: Vec<Relation> = arities.iter().map(|&a| Relation::new(a)).collect();
+    let mut added: Vec<Relation> = revived.clone();
     let mut rounds = 0usize;
     let mut clock = db.depth_clock;
-
     // Phase A: propagate a deletion over-approximation `D` to a fixpoint.
     // Round 0 is seeded by the external deletions (EDB and lower strata);
     // later rounds by the tuples newly admitted to `D`, with every other
@@ -1214,111 +978,59 @@ fn dred_scc(db: &mut MaterializedDb, deltas: &mut Deltas, scc: usize) -> (usize,
     // stable externals — kills propagate strictly depth-upward, so a kept
     // tuple is re-examined whenever a witness supporter dies later, and the
     // cascade stays local when alternative derivations abound.
-    let mut frontier: Vec<TupleStore> = (0..n_idb).map(|p| TupleStore::new(arity_of(p))).collect();
+    let mut frontier = empty_stores();
     let mut first = true;
     loop {
-        let mut items: Vec<(usize, usize)> = Vec::new();
-        for &p in &members {
-            for &ri in &db.plan.rules_by_head[p] {
-                let mr = &db.plan.rules[ri];
-                for ai in 0..mr.atoms.len() {
-                    let pred = mr.atoms[ai].pred;
-                    let seeded = if first {
-                        !is_member(&db.plan, pred, scc) && !deltas.minus(pred).is_empty()
-                    } else {
-                        matches!(pred, PredRef::Idb(q) if db.plan.scc_of[q] == scc
-                            && !frontier[q].is_empty())
-                    };
-                    if seeded {
-                        items.push((ri, ai));
-                    }
-                }
-            }
-        }
+        let d: &Deltas = deltas;
+        let items = seeded_items(&db.plan, &members, |pred| {
+            round_seeds(
+                &db.plan,
+                scc,
+                first.then_some(d.minus(pred)),
+                &frontier,
+                pred,
+            )
+        });
         if items.is_empty() {
             break;
         }
         rounds += 1;
-        let outs: Vec<TupleStore> = {
-            let ctx = Ctx {
-                plan: &db.plan,
-                structure: &db.structure,
-                idb: &db.idb,
-                indexes: &db.indexes,
-                deltas,
-                overlay: None,
-                gate: None,
-            };
-            items
-                .iter()
-                .map(|&(ri, ai)| {
-                    let mr = &ctx.plan.rules[ri];
-                    let h = mr.head;
-                    let views = vec![View::Old; mr.atoms.len()];
-                    let pred = mr.atoms[ai].pred;
-                    let seeds: &TupleStore = if first {
-                        ctx.deltas.minus(pred)
-                    } else {
-                        let PredRef::Idb(q) = pred else {
-                            unreachable!()
-                        };
-                        &frontier[q]
-                    };
-                    let mut out = TupleStore::new(arity_of(h));
-                    let mut head = Vec::with_capacity(arity_of(h));
-                    run_seeded(&ctx, mr, &mr.seeded_orders[ai], &views, seeds, &mut |asg| {
-                        head.clear();
-                        head.extend(mr.head_args.iter().map(|&s| asg[s]));
-                        if ctx.idb[h].contains(&head) && !removed[h].contains(&head) {
-                            out.push(&head);
-                        }
-                        true
-                    });
-                    out.seal();
-                    out
-                })
-                .collect()
-        };
-        let mut cand: Vec<TupleStore> = (0..n_idb).map(|p| TupleStore::new(arity_of(p))).collect();
-        for (ix, out) in outs.into_iter().enumerate() {
-            let h = db.plan.rules[items[ix].0].head;
-            cand[h].merge(&out);
+        let mut cand = empty_stores();
+        let ctx = db.ctx(d, None, None);
+        for (ri, ai, seeds) in items {
+            let rp = &ctx.plan.rules[ri];
+            let h = rp.head;
+            let views = vec![View::Old; rp.atoms.len()];
+            let steps = &ctx.plan.maint[ri].seeded_orders[ai];
+            ctx.derive(ri, steps, &views, Some(seeds), |head| {
+                if ctx.idb[h].contains(head) && !removed[h].contains(head) {
+                    cand[h].push(head);
+                }
+            });
         }
-        let mut cands: Vec<(usize, Vec<Elem>)> = Vec::new();
+        let mut kills = empty_stores();
         for &p in &members {
+            cand[p].seal();
             for t in cand[p].difference(&removed[p]).iter() {
-                cands.push((p, t.to_vec()));
-            }
-        }
-        let supported: Vec<bool> = cands
-            .iter()
-            .map(|(p, t)| {
-                let depths = &db.depths;
-                let limit = depths[*p]
+                let t = t.to_vec();
+                let limit = db.depths[p]
                     .as_ref()
                     .and_then(|m| m.get(t.as_slice()))
                     .copied()
                     .unwrap_or(0);
-                let gctx = Ctx {
-                    plan: &db.plan,
-                    structure: &db.structure,
-                    idb: &db.idb,
-                    indexes: &db.indexes,
-                    deltas,
-                    overlay: Some(Overlay {
-                        removed: &removed,
-                        revived: &revived,
-                        added: &added,
-                    }),
-                    gate: Some(DepthGate { depths, limit }),
+                let overlay = Overlay {
+                    removed: &removed,
+                    revived: &revived,
+                    added: &added,
                 };
-                rederives_with(&gctx, scc, *p, t, View::Stable)
-            })
-            .collect();
-        let mut kills: Vec<TupleStore> = (0..n_idb).map(|p| TupleStore::new(arity_of(p))).collect();
-        for (i, (p, t)) in cands.iter().enumerate() {
-            if !supported[i] {
-                kills[*p].push(t);
+                let gate = DepthGate {
+                    depths: &db.depths,
+                    limit,
+                };
+                let gctx = db.ctx(d, Some(overlay), Some(gate));
+                if !rederives(&gctx, scc, p, &t, View::Stable) {
+                    kills[p].push(&t);
+                }
             }
         }
         let mut any = false;
@@ -1348,29 +1060,21 @@ fn dred_scc(db: &mut MaterializedDb, deltas: &mut Deltas, scc: usize) -> (usize,
         }
         rounds += 1;
         let hits: Vec<bool> = {
-            let ctx = Ctx {
-                plan: &db.plan,
-                structure: &db.structure,
-                idb: &db.idb,
-                indexes: &db.indexes,
-                deltas,
-                overlay: Some(Overlay {
-                    removed: &removed,
-                    revived: &revived,
-                    added: &added,
-                }),
-                gate: None,
+            let overlay = Overlay {
+                removed: &removed,
+                revived: &revived,
+                added: &added,
             };
+            let ctx = db.ctx(deltas, Some(overlay), None);
             cands
                 .iter()
-                .map(|(p, t)| rederives(&ctx, scc, *p, t))
+                .map(|(p, t)| rederives(&ctx, scc, *p, t, View::New))
                 .collect()
         };
         let mut any = false;
         clock += 1;
-        for (i, hit) in hits.iter().enumerate() {
-            if *hit {
-                let (p, t) = &cands[i];
+        for ((p, t), hit) in cands.iter().zip(hits) {
+            if hit {
                 revived[*p].insert(t);
                 db.depths[*p]
                     .as_mut()
@@ -1387,83 +1091,44 @@ fn dred_scc(db: &mut MaterializedDb, deltas: &mut Deltas, scc: usize) -> (usize,
     // Phase C: warm-started semi-naive insertion over the repaired state.
     // Round 0 is seeded by the external insertions; later rounds by the
     // SCC tuples that became true last round (fresh or revived).
-    let mut frontier: Vec<TupleStore> = (0..n_idb).map(|p| TupleStore::new(arity_of(p))).collect();
+    let mut frontier = empty_stores();
     let mut first = true;
     loop {
-        let mut items: Vec<(usize, usize)> = Vec::new();
-        for &p in &members {
-            for &ri in &db.plan.rules_by_head[p] {
-                let mr = &db.plan.rules[ri];
-                for ai in 0..mr.atoms.len() {
-                    let pred = mr.atoms[ai].pred;
-                    let seeded = if first {
-                        !is_member(&db.plan, pred, scc) && !deltas.plus(pred).is_empty()
-                    } else {
-                        matches!(pred, PredRef::Idb(q) if db.plan.scc_of[q] == scc
-                            && !frontier[q].is_empty())
-                    };
-                    if seeded {
-                        items.push((ri, ai));
-                    }
-                }
-            }
-        }
+        let d: &Deltas = deltas;
+        let items = seeded_items(&db.plan, &members, |pred| {
+            round_seeds(
+                &db.plan,
+                scc,
+                first.then_some(d.plus(pred)),
+                &frontier,
+                pred,
+            )
+        });
         if items.is_empty() {
             break;
         }
         rounds += 1;
-        let outs: Vec<TupleStore> = {
-            let ctx = Ctx {
-                plan: &db.plan,
-                structure: &db.structure,
-                idb: &db.idb,
-                indexes: &db.indexes,
-                deltas,
-                overlay: Some(Overlay {
-                    removed: &removed,
-                    revived: &revived,
-                    added: &added,
-                }),
-                gate: None,
-            };
-            items
-                .iter()
-                .map(|&(ri, ai)| {
-                    let mr = &ctx.plan.rules[ri];
-                    let h = mr.head;
-                    let views = scc_views(ctx.plan, mr, scc, View::New);
-                    let pred = mr.atoms[ai].pred;
-                    let seeds: &TupleStore = if first {
-                        ctx.deltas.plus(pred)
-                    } else {
-                        let PredRef::Idb(q) = pred else {
-                            unreachable!()
-                        };
-                        &frontier[q]
-                    };
-                    let mut out = TupleStore::new(arity_of(h));
-                    let mut head = Vec::with_capacity(arity_of(h));
-                    run_seeded(&ctx, mr, &mr.seeded_orders[ai], &views, seeds, &mut |asg| {
-                        head.clear();
-                        head.extend(mr.head_args.iter().map(|&s| asg[s]));
-                        out.push(&head);
-                        true
-                    });
-                    out.seal();
-                    out
-                })
-                .collect()
+        let mut cand = empty_stores();
+        let overlay = Overlay {
+            removed: &removed,
+            revived: &revived,
+            added: &added,
         };
-        let mut cand: Vec<TupleStore> = (0..n_idb).map(|p| TupleStore::new(arity_of(p))).collect();
-        for (ix, out) in outs.into_iter().enumerate() {
-            let h = db.plan.rules[items[ix].0].head;
-            cand[h].merge(&out);
+        let ctx = db.ctx(d, Some(overlay), None);
+        for (ri, ai, seeds) in items {
+            let rp = &ctx.plan.rules[ri];
+            let views = scc_views(ctx.plan, rp, scc, View::New);
+            let steps = &ctx.plan.maint[ri].seeded_orders[ai];
+            ctx.derive(ri, steps, &views, Some(seeds), |head| {
+                cand[rp.head].push(head)
+            });
         }
         let mut any = false;
         clock += 1;
         for &p in &members {
-            let mut fresh = TupleStore::new(arity_of(p));
-            let mut revive = TupleStore::new(arity_of(p));
+            cand[p].seal();
+            let mut fresh = TupleStore::new(arities[p]);
+            let mut revive = TupleStore::new(arities[p]);
             for t in cand[p].iter() {
                 if added[p].contains(t) {
                     continue;
@@ -1498,8 +1163,7 @@ fn dred_scc(db: &mut MaterializedDb, deltas: &mut Deltas, scc: usize) -> (usize,
     }
 
     // Commit: the confirmed deletions are `D ∖ revived`, the insertions are
-    // the fresh tuples; both are recorded as this stratum's deltas for the
-    // consumers downstream.
+    // the fresh tuples.
     let mut changed = 0usize;
     for &p in &members {
         let final_minus = removed[p].difference(revived[p].store());
@@ -1511,19 +1175,27 @@ fn dred_scc(db: &mut MaterializedDb, deltas: &mut Deltas, scc: usize) -> (usize,
         for t in final_minus.iter() {
             map.remove(t.to_vec().as_slice());
         }
-        db.idb[p].remove_tuples(&final_minus);
-        db.idb[p].merge_store(&final_plus);
-        for (si, spec) in db.plan.specs.iter().enumerate() {
-            if spec.pred == PredRef::Idb(p) {
-                db.indexes[si].remove_rows(&final_minus);
-                db.indexes[si].insert_rows(&final_plus);
-            }
-        }
-        deltas.idb_minus[p] = final_minus;
-        deltas.idb_plus[p] = final_plus;
+        db.commit_idb(deltas, p, final_minus, final_plus);
     }
     db.depth_clock = clock;
     (rounds, changed)
+}
+
+/// The seed rows of one DRed propagation round for an atom on `pred`: on
+/// the first round (`external` is the batch's delta of `pred`) a non-member
+/// atom's delta, later a member atom's `frontier`.
+fn round_seeds<'s>(
+    plan: &MaintPlan,
+    scc: usize,
+    external: Option<&'s TupleStore>,
+    frontier: &'s [TupleStore],
+    pred: PredRef,
+) -> Option<&'s TupleStore> {
+    match (external, pred) {
+        (Some(delta), _) => (!is_member(plan, pred, scc)).then_some(delta),
+        (None, PredRef::Idb(q)) if plan.scc_of[q] == scc => Some(&frontier[q]),
+        (None, _) => None,
+    }
 }
 
 /// Run maintenance from stratum `first_scc` on, charging the gauge at SCC
@@ -1544,7 +1216,7 @@ fn maintain(
     for si in first_scc..n_scc {
         if let Err(stop) = gauge.check() {
             db.in_flight = true;
-            return Err(stop.with_partial(checkpoint(si, &deltas, stages, &gauge)));
+            return Err(stop.with_partial(checkpoint(si, deltas, stages, &gauge)));
         }
         let (rounds, changed) = if db.plan.sccs[si].recursive {
             dred_scc(db, &mut deltas, si)
@@ -1554,7 +1226,7 @@ fn maintain(
         stages += rounds;
         if let Err(stop) = gauge.tick(1 + changed as u64) {
             db.in_flight = true;
-            return Err(stop.with_partial(checkpoint(si + 1, &deltas, stages, &gauge)));
+            return Err(stop.with_partial(checkpoint(si + 1, deltas, stages, &gauge)));
         }
     }
     db.in_flight = false;
@@ -1568,13 +1240,10 @@ fn maintain(
     })
 }
 
-fn checkpoint(next_scc: usize, deltas: &Deltas, stages: usize, gauge: &Gauge) -> IncCheckpoint {
+fn checkpoint(next_scc: usize, deltas: Deltas, stages: usize, gauge: &Gauge) -> IncCheckpoint {
     IncCheckpoint {
         next_scc,
-        edb_plus: deltas.edb_plus.clone(),
-        edb_minus: deltas.edb_minus.clone(),
-        idb_plus: deltas.idb_plus.clone(),
-        idb_minus: deltas.idb_minus.clone(),
+        deltas,
         stages,
         fuel: gauge.state(),
     }
@@ -1651,24 +1320,18 @@ impl Program {
             });
         }
         if checkpoint.next_scc > db.plan.sccs.len()
-            || checkpoint.edb_plus.len() != self.edb().len()
-            || checkpoint.idb_plus.len() != self.idbs().len()
+            || checkpoint.deltas.edb_plus.len() != self.edb().len()
+            || checkpoint.deltas.idb_plus.len() != self.idbs().len()
         {
             return Err(EvalError::CheckpointMismatch {
                 detail: "checkpoint shape does not match this program".to_string(),
             });
         }
-        let deltas = Deltas {
-            edb_plus: checkpoint.edb_plus,
-            edb_minus: checkpoint.edb_minus,
-            idb_plus: checkpoint.idb_plus,
-            idb_minus: checkpoint.idb_minus,
-        };
         let gauge = budget.resume(checkpoint.fuel);
         Ok(maintain(
             db,
             gauge,
-            deltas,
+            checkpoint.deltas,
             checkpoint.next_scc,
             checkpoint.stages,
         ))
@@ -1696,6 +1359,50 @@ mod tests {
 
     fn delta_pair(vocab: &Vocabulary) -> (EdbDelta, EdbDelta) {
         (EdbDelta::new(vocab), EdbDelta::new(vocab))
+    }
+
+    #[test]
+    fn reach_keeps_one_permuted_copy() {
+        // The maintenance orders of reach probe S[0], R[0], E[0] and E[1].
+        // The first three are prefix keys that the committed stores serve
+        // directly; only E keyed on its target needs a permuted copy.
+        let v = Vocabulary::from_pairs([("E", 2), ("S", 1)]);
+        let e = v.lookup("E").unwrap();
+        let p = Program::parse("R(x) :- S(x).\nR(y) :- R(x), E(x,y).", &v).unwrap();
+        let mut a = Structure::new(v.clone(), 6);
+        for (u, w) in [(0u32, 1), (1, 2), (2, 3), (3, 1), (4, 5)] {
+            a.add_tuple_ids(e.index(), &[u, w]).unwrap();
+        }
+        a.add_tuple_ids(1, &[0]).unwrap();
+        let mut db = MaterializedDb::new(&p, a.clone()).unwrap();
+        let copies: Vec<&IndexSpec> = db
+            .plan
+            .specs
+            .iter()
+            .zip(&db.indexes)
+            .filter(|(_, copy)| copy.is_some())
+            .map(|(spec, _)| spec)
+            .collect();
+        assert_eq!(copies.len(), 1);
+        assert_eq!(copies[0].pred, PredRef::Edb(e));
+        assert_eq!(copies[0].key_positions, vec![1]);
+
+        let (mut plus, minus) = delta_pair(p.edb());
+        plus.push_ids(e.index(), &[2, 4]);
+        let r = p.evaluate_incremental(&mut db, &plus, &minus).unwrap();
+        a.add_tuple_ids(e.index(), &[2, 4]).unwrap();
+        assert_eq!(r.relations, p.evaluate(&a).relations);
+
+        let (plus, mut minus) = delta_pair(p.edb());
+        minus.push_ids(e.index(), &[0, 1]);
+        let r = p.evaluate_incremental(&mut db, &plus, &minus).unwrap();
+        assert!(a.remove_tuple(e, &[Elem(0), Elem(1)]));
+        assert_eq!(r.relations, p.evaluate(&a).relations);
+
+        // The copy followed both batches.
+        let copy = db.indexes.iter().flatten().next().unwrap();
+        let rebuilt = PermutedStore::build(a.relation(e).store(), &[1]);
+        assert_eq!(copy.store(), rebuilt.store());
     }
 
     #[test]

@@ -29,6 +29,12 @@
 //!   tuples in, so maintaining them costs `O(Σ|Δ|)` over the whole
 //!   fixpoint instead of `O(rounds × |IDB|)` rebuilds.
 //!
+//! Incremental maintenance follows the same rule for its persistent
+//! indexes: a prefix-keyed spec reads the committed store directly, and
+//! only a non-prefix spec keeps a [`PermutedStore`] copy. Both engines hand
+//! their rows to the join executor ([`crate::join`]) as [`ResolvedRow`]s
+//! through one [`ProbeIter`].
+//!
 //! Row ids are `u32`; an IDB arena that outgrows them reports a typed
 //! [`StructureError::CapacityExceeded`] instead of silently wrapping (the
 //! 10⁸-row audit: `2^32` rows of a binary IDB would already be a 32 GiB
@@ -118,6 +124,35 @@ pub(crate) enum ProbeIter<'a> {
     },
 }
 
+impl<'a> ProbeIter<'a> {
+    /// Every row of the sealed store `store`.
+    pub fn scan(store: &'a TupleStore) -> ProbeIter<'a> {
+        ProbeIter::Rows {
+            store,
+            range: 0..store.len(),
+        }
+    }
+
+    /// The rows of the sealed store `store` whose leading columns equal
+    /// `key`.
+    pub fn prefix(store: &'a TupleStore, key: &[Elem]) -> ProbeIter<'a> {
+        ProbeIter::Rows {
+            store,
+            range: store.prefix_range(key),
+        }
+    }
+
+    /// The rows of the permuted copy `p` whose key columns equal `key`,
+    /// read back in original column order.
+    pub fn permuted(p: &'a PermutedStore, key: &[Elem]) -> ProbeIter<'a> {
+        ProbeIter::Permuted {
+            store: p.store(),
+            pos_of: p.pos_of(),
+            range: p.probe(key),
+        }
+    }
+}
+
 impl<'a> Iterator for ProbeIter<'a> {
     type Item = ResolvedRow<'a>;
 
@@ -176,15 +211,8 @@ impl<'a> TupleIndex<'a> {
     /// hash-only pool produced, and every consumer seals its output anyway.
     pub fn probe<'s>(&'s self, key: &[Elem]) -> ProbeIter<'s> {
         match &self.arena {
-            Arena::Natural(rel) => ProbeIter::Rows {
-                store: rel.store(),
-                range: rel.store().prefix_range(key),
-            },
-            Arena::Permuted(p) => ProbeIter::Permuted {
-                store: p.store(),
-                pos_of: p.pos_of(),
-                range: p.probe(key),
-            },
+            Arena::Natural(rel) => ProbeIter::prefix(rel.store(), key),
+            Arena::Permuted(p) => ProbeIter::permuted(p, key),
             Arena::Idb { arity, data, map } => ProbeIter::Ids {
                 arity: *arity,
                 data,
@@ -195,8 +223,9 @@ impl<'a> TupleIndex<'a> {
 }
 
 /// True when `key_positions` is exactly the positional prefix `0..k`, i.e.
-/// the relation's own lexicographic order already serves the probe.
-fn is_prefix(key_positions: &[usize]) -> bool {
+/// the relation's own lexicographic order already serves the probe. Both
+/// engines then read the sealed store directly instead of a permuted copy.
+pub(crate) fn is_prefix(key_positions: &[usize]) -> bool {
     key_positions.iter().copied().eq(0..key_positions.len())
 }
 

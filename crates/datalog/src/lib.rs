@@ -52,6 +52,7 @@ mod eval;
 pub mod gallery;
 mod incremental;
 mod index;
+mod join;
 mod parser;
 mod plan;
 mod reference;

@@ -1,5 +1,5 @@
 //! Precomputed join plans: dense per-rule variable numbering, atom join
-//! orders chosen by bound-variable selectivity, and the hash-index key
+//! orders chosen by bound-variable selectivity, and the probe-index key
 //! specifications those orders probe.
 //!
 //! The seed evaluator recomputed `rule.variables()` (and a fresh
@@ -15,16 +15,20 @@
 //! relation and is scanned first). Orders are greedy: after the seed,
 //! repeatedly pick the atom with the most argument positions over
 //! already-bound variables (ties prefer EDB atoms, then source order), so
-//! each step can be answered by a hash index keyed on exactly those bound
-//! positions.
+//! each step can be answered by a probe keyed on exactly those bound
+//! positions. Incremental maintenance plans its own orders with the same
+//! greedy rule ([`plan_steps`], [`plan_steps_prebound`]), and both
+//! engines walk their orders with one executor, [`crate::join`].
 
 use std::cmp::Reverse;
 
 use crate::ast::{PredRef, Program, Rule};
 
-/// Key specification for one hash index: a predicate together with the
+/// Key specification for one probe index: a predicate together with the
 /// sorted tuple positions the key is drawn from. Interned per program so
-/// equal specs across rules share one physical index.
+/// equal specs across rules share one physical index. A prefix key
+/// (`0..k`) needs no index at all: both engines probe the relation's own
+/// sealed store ([`crate::index::is_prefix`]).
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub(crate) struct IndexSpec {
     /// Indexed predicate.
@@ -63,7 +67,8 @@ pub(crate) struct JoinStep {
     pub repeats: Vec<(usize, usize)>,
     /// Index into [`ProgramPlan::index_specs`] to probe with the values of
     /// `bound`, or `None` to scan the whole relation (nothing bound yet, or
-    /// the step reads a delta relation).
+    /// the step is the seed step, whose rows the caller hands to
+    /// [`crate::join::join`]).
     pub index: Option<usize>,
 }
 
@@ -269,11 +274,11 @@ fn plan_steps_inner(
             for &(_, s) in &binds {
                 bound_var[s] = true;
             }
-            // The delta atom (always at depth 0) reads the per-round delta
-            // relation, which is scanned, never indexed; a negated guard is
-            // answered by a direct sorted-store membership probe, not an
-            // index; any other step with at least one bound position probes
-            // a hash index on exactly those positions.
+            // The delta atom (always at depth 0) reads the seed rows, which
+            // are scanned, never indexed; a negated guard is answered by a
+            // direct sorted-store membership probe, not an index; any other
+            // step with at least one bound position probes an index on
+            // exactly those positions.
             let reads_delta = seed == Some(ai);
             let index = (!bound.is_empty() && !reads_delta && !atom.negated)
                 .then(|| intern(specs, atom.pred, bound.iter().map(|&(i, _)| i).collect()));

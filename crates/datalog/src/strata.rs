@@ -1,8 +1,11 @@
 //! Strongly connected components of a predicate dependency graph.
 //!
-//! One iterative Tarjan walk serves both the maintenance engine (which
-//! processes the IDB condensation stratum by stratum) and the analysis
-//! crate's predicate dependency graph.
+//! One iterative Tarjan walk serves the program's stratification
+//! ([`Program::strata`](crate::Program::strata)), the maintenance engine
+//! (which processes the IDB condensation component by component) and the
+//! analysis crate's predicate dependency graph.
+
+use crate::ast::{PredRef, Rule};
 
 /// The strongly connected components of the directed graph `adj` (node
 /// `v` has an edge to every node in `adj[v]`), each with its members in
@@ -67,6 +70,38 @@ pub fn strongly_connected_components(adj: &[Vec<usize>]) -> Vec<Vec<usize>> {
         }
     }
     comps
+}
+
+/// The strongly connected components of the IDB dependency graph of
+/// `rules` over `n` IDBs, producers before consumers: a component comes
+/// after every component its rules read. Each component is recursive
+/// exactly when it has several members or a member reads itself.
+pub(crate) fn idb_components(rules: &[Rule], n: usize) -> Vec<Vec<usize>> {
+    let mut comps = strongly_connected_components(&idb_dependencies(rules, n));
+    // Tarjan emits consumers before their producers; reversed, producers
+    // come first.
+    comps.reverse();
+    comps
+}
+
+/// Adjacency of the IDB dependency graph: an edge `b → h` for every rule
+/// with head `h` and an IDB body atom `b` (producers point at consumers),
+/// each edge once.
+fn idb_dependencies(rules: &[Rule], n: usize) -> Vec<Vec<usize>> {
+    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
+    for rule in rules {
+        let PredRef::Idb(h) = rule.head.pred else {
+            unreachable!("validated: rule heads are IDB atoms")
+        };
+        for atom in &rule.body {
+            if let PredRef::Idb(b) = atom.pred {
+                if !adj[b].contains(&h) {
+                    adj[b].push(h);
+                }
+            }
+        }
+    }
+    adj
 }
 
 #[cfg(test)]

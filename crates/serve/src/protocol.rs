@@ -46,7 +46,9 @@ pub enum Request {
 pub struct QueryRequest {
     /// Datalog source (mutually exclusive with `formula` and `resume`).
     pub program: Option<String>,
-    /// Existential-positive FO formula source.
+    /// Existential-positive FO formula source. Every variable, free or
+    /// existential, must occur in a relational atom of its disjunct;
+    /// otherwise the service answers with a `bad formula` error.
     pub formula: Option<String>,
     /// Resume token from a previous `partial` response.
     pub resume: Option<String>,

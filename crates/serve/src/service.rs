@@ -19,7 +19,7 @@
 //! after a short backoff, and only a second failure surfaces — as a typed
 //! fault, never a hang or a poisoned lock.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -28,7 +28,7 @@ use std::time::{Duration, Instant};
 use hp_analysis::goal_core_key;
 use hp_datalog::{EvalCheckpoint, EvalConfig, Program};
 use hp_guard::{Budget, Interrupt, Resource};
-use hp_logic::{parse_formula, ucq_of_existential_positive};
+use hp_logic::{parse_formula, ucq_of_existential_positive, Formula, Ucq, Var};
 use hp_structures::{Elem, Structure};
 
 use crate::admission::AdmissionGate;
@@ -514,8 +514,11 @@ impl QueryService {
         let vocab = snap.structure.vocab();
         let ucq = match parse_formula(formula, vocab)
             .map_err(|e| e.to_string())
-            .and_then(|(f, _)| ucq_of_existential_positive(&f, vocab))
-        {
+            .and_then(|(f, _)| {
+                let ucq = ucq_of_existential_positive(&f, vocab)?;
+                check_guarded(&f, &ucq)?;
+                Ok(ucq)
+            }) {
             Ok(u) => u,
             Err(e) => {
                 return Response::Error {
@@ -573,6 +576,44 @@ impl QueryService {
             },
         }
     }
+}
+
+/// Refuse a formula with a variable, free or existential, that occurs in
+/// no relational atom of its disjunct. Such a free variable ranges over
+/// the whole universe, so `x = x` answers with one row per element, and
+/// the answer enumeration runs outside the fuel and deadline checks.
+fn check_guarded(f: &Formula, ucq: &Ucq) -> Result<(), String> {
+    const MESSAGE: &str = "every variable must occur in a relational atom of its disjunct";
+    // An existential variable no atom mentions. Binders are renamed apart
+    // first, so each variable name is bound at most once.
+    let mut in_atoms: BTreeSet<Var> = BTreeSet::new();
+    let mut bound: Vec<Var> = Vec::new();
+    f.renamed_apart().visit(&mut |g| match g {
+        Formula::Atom(a) => in_atoms.extend(a.args.iter().copied()),
+        Formula::Exists(v, _) => bound.push(*v),
+        _ => {}
+    });
+    if bound.iter().any(|v| !in_atoms.contains(v)) {
+        return Err(MESSAGE.to_string());
+    }
+    // A free variable, or one equated only with free variables, that a
+    // disjunct's atoms miss: an isolated element of the disjunct's
+    // canonical structure.
+    for d in ucq.disjuncts() {
+        let canonical = d.canonical();
+        let mut guarded = vec![false; canonical.universe_size()];
+        for (_, rel) in canonical.relations() {
+            for t in rel.iter() {
+                for e in t.iter() {
+                    guarded[e.index()] = true;
+                }
+            }
+        }
+        if guarded.contains(&false) {
+            return Err(MESSAGE.to_string());
+        }
+    }
+    Ok(())
 }
 
 fn goal_rows(goal: Option<&hp_datalog::IdbRelation>) -> Vec<Vec<Elem>> {

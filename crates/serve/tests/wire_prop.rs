@@ -191,3 +191,37 @@ fn universe_growth_at_the_boundary_is_typed() {
         check_line(&svc, line).unwrap();
     }
 }
+
+/// A formula variable that occurs in no relational atom ranges over the
+/// whole universe: `x = x` answers with one row per element, and the
+/// answer enumeration runs outside the fuel and deadline checks, so a
+/// grown universe turns one such query into unbounded time and memory.
+/// Every disjunct must bind each of its variables, free or existential,
+/// in some atom; otherwise the query is a typed `bad formula` error.
+#[test]
+fn formula_variables_outside_every_atom_are_rejected() {
+    let svc = service();
+    for formula in [
+        "x = x",
+        "exists y. y = y",
+        "E(x,y) & z = z",
+        "E(x,y) | E(y,z)",
+        "exists w. (E(x,y) & w = w)",
+    ] {
+        let line = format!(r#"{{"op":"query","formula":"{formula}"}}"#);
+        let resp = svc.handle(&parse_request(&line).unwrap(), &Interrupt::new());
+        match &resp {
+            Response::Error { message } => {
+                assert!(message.starts_with("bad formula"), "{formula}: {message}")
+            }
+            other => panic!("{formula}: expected a bad-formula error, got {other:?}"),
+        }
+    }
+    // Variables tied to an atom, directly or through an equality, still
+    // answer.
+    for formula in ["E(x,y)", "exists z. (E(x,z) & z = y)", "true"] {
+        let line = format!(r#"{{"op":"query","formula":"{formula}"}}"#);
+        let resp = svc.handle(&parse_request(&line).unwrap(), &Interrupt::new());
+        assert_eq!(resp.status(), "ok", "{formula}: {resp:?}");
+    }
+}

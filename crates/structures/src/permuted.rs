@@ -19,7 +19,6 @@
 use std::ops::Range;
 
 use crate::elem::Elem;
-use crate::row::RowRef;
 use crate::store::TupleStore;
 
 /// A sealed copy of a relation with the key columns permuted to the front.
@@ -107,12 +106,6 @@ impl PermutedStore {
         self.store.prefix_range(key)
     }
 
-    /// Write a permuted row back in original column order into `out`.
-    pub fn unpermute_into(&self, row: RowRef<'_>, out: &mut Vec<Elem>) {
-        out.clear();
-        out.extend(self.pos_of.iter().map(|&k| row.get(k)));
-    }
-
     /// Heap bytes held by the permuted copy and its column maps.
     pub fn heap_bytes(&self) -> usize {
         self.store.heap_bytes()
@@ -136,11 +129,10 @@ mod tests {
 
     fn probe(p: &PermutedStore, key: &[u32]) -> Vec<Vec<u32>> {
         let key: Vec<Elem> = key.iter().map(|&v| Elem(v)).collect();
-        let mut buf = Vec::new();
         p.probe(&key)
             .map(|r| {
-                p.unpermute_into(p.store().row(r), &mut buf);
-                buf.iter().map(|e| e.0).collect()
+                let row = p.store().row(r);
+                p.pos_of().iter().map(|&k| row.get(k).0).collect()
             })
             .collect()
     }
